@@ -1,7 +1,7 @@
 """Numerical laboratory for the Chalker-Coddington network model on a cylinder.
 
 Layers: ``model`` (scattering blocks, disorder, finite unitary), ``transfer``
-(2x2 blocks, layer matrices, cocycle, reconstruction), ``lyapunov``
+(layer matrices, cocycle kernel, propagator, reconstruction), ``lyapunov``
 (QR-stabilized spectrum estimates and exact laws), ``spectral``
 (eigendecompositions, density of states, determinant identity, bands,
 decay fits), ``cli``/``records`` (harness and persistence).
@@ -27,7 +27,6 @@ from .model import (
 from .transfer import (
     LayerPhases,
     Propagator,
-    TransferBlock,
     TransferMatrix,
     cocycle_step,
     form_signature,
@@ -36,8 +35,6 @@ from .transfer import (
     propagate,
     reconstruct_and_verify,
     reconstruct_columns,
-    t_eo,
-    t_oe,
 )
 from .lyapunov import (
     CocycleRunConfig,

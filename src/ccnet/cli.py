@@ -64,11 +64,14 @@ from .transfer import (
 DEFAULT_R_GRID = [0.6, 0.66, math.sqrt(0.5), math.sqrt(1 - 0.66**2), 0.8]
 
 
-def _default_workers() -> int:
+def _default_workers(parser: argparse.ArgumentParser) -> int:
     env = os.environ.get("CCNET_WORKERS")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        parser.error(f"CCNET_WORKERS must be an integer, got {env!r}")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -217,7 +220,6 @@ def cmd_lyapunov(args, parser) -> int:
         config=_config_echo(args, r=rs, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps),
         rows=all_rows,
         wall_clock_s=time.time() - started,
-        version=__version__,
     )
     _write(args, [record])
     return 1 if any_fail else 0
@@ -262,7 +264,6 @@ def cmd_xi_scaling(args, parser) -> int:
         config=_config_echo(args, r=rs, M=args.M, seeds=args.seeds, steps=args.steps),
         rows=rows,
         wall_clock_s=time.time() - started,
-        version=__version__,
     )
     _write(args, [record])
     return 0
@@ -319,7 +320,6 @@ def cmd_dos(args, parser) -> int:
         ),
         rows=rows,
         wall_clock_s=time.time() - started,
-        version=__version__,
     )
     _write(args, [record])
     if args.hist_out:
@@ -375,7 +375,6 @@ def cmd_det_check(args, parser) -> int:
         ),
         rows=rows,
         wall_clock_s=time.time() - started,
-        version=__version__,
     )
     _write(args, [record])
     return 0 if worst <= args.tol else 1
@@ -412,7 +411,6 @@ def cmd_bands(args, parser) -> int:
         config=_config_echo(args, r=[params.r], nx=args.nx, ny=args.ny),
         rows=rows,
         wall_clock_s=time.time() - started,
-        version=__version__,
     )
     _write(args, [record])
     if args.table_out:
@@ -455,7 +453,6 @@ def cmd_decay(args, parser) -> int:
         config=_config_echo(args, r=[params.r], M=[M], L=L, seeds=args.seeds),
         rows=rows,
         wall_clock_s=time.time() - started,
-        version=__version__,
     )
     _write(args, [record])
     return 0
@@ -791,7 +788,7 @@ def main(argv=None) -> int:
         argv = [argv[0]] + _apply_config_file(parser, argv[1:])
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is None:
-        args.workers = _default_workers() if hasattr(args, "workers") else 1
+        args.workers = _default_workers(parser) if hasattr(args, "workers") else 1
     if hasattr(args, "seeds") and not args.seeds:
         parser.error("--seeds must be non-empty")
     if hasattr(args, "M"):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams
-from .transfer import layer_matrices
+from .transfer import _apply_layer, _split_slots, layer_matrices
 
 __all__ = [
     "CocycleRunConfig",
@@ -160,20 +160,9 @@ def lyapunov_spectrum(config: CocycleRunConfig) -> LyapunovResult:
     while done < burn + n:
         block = min(chunk, burn + n - done)
         uni = rng.random((block, 4 * M))
-        phase_block = np.exp(2j * np.pi * uni)
+        p_r, p_m, p_l = _split_slots(np.exp(2j * np.pi * uni))
         for i in range(block):
-            p = phase_block[i]
-            pr = np.ones(two_m, dtype=complex)
-            pr[1::2] = p[1:two_m:2]
-            pl = np.ones(two_m, dtype=complex)
-            pl[0::2] = p[0:two_m:2]
-            pm = p[two_m:]
-            v = pr[:, None] * frame
-            v = m1 @ v
-            v *= pm[:, None]
-            v = m2 @ v
-            v *= pl[:, None]
-            frame = v
+            frame = _apply_layer(m1, m2, p_r[i], p_m[i], p_l[i], frame)
             step = done + i
             pending += 1
             if step >= burn:

@@ -332,11 +332,47 @@ class FiniteOperator:
         return np.column_stack([coo.row, coo.col, coo.data.real, coo.data.imag])
 
 
-def _node_spans(L: int):
-    """Interior node columns: (even node cols, odd node cols)."""
-    even_cols = list(range(-2 * L, 2 * L - 1, 2))
-    odd_cols = list(range(-2 * L + 1, 2 * L, 2))
-    return even_cols, odd_cols
+def _assemble(params: ModelParams, L: int, M: int, even, odd) -> FiniteOperator:
+    """U^D from the 2x2 node blocks plus the two reflecting wall rules.
+
+    ``even`` and ``odd`` are (2L, M, 2, 2) block arrays over the node columns
+    c = -2L, -2L+2, .., 2L-2 and the ring pairs k.  The even node at (c, 2k)
+    maps inputs (c, 2k), (c+1, 2k+1) to outputs (c+1, 2k), (c, 2k+1); the
+    odd node at (c+1, 2k+1) maps inputs (c+2, 2k+1), (c+1, 2k+2) to outputs
+    (c+2, 2k+2), (c+1, 2k+1).  The walls e(-2L, 2k+1) -> e(-2L, 2k+2) and
+    e(2L, 2k) -> e(2L, 2k+1) are placed with amplitude one.
+    """
+    two_m = 2 * M
+    dim = two_m * (4 * L + 1)
+
+    def idx(c, m):
+        return (c + 2 * L) * two_m + m % two_m
+
+    c = np.arange(-2 * L, 2 * L, 2)[:, None]
+    k = np.arange(M)
+    # (in0, in1, out0, out1) site indices of every node, each (2L, M)
+    even_sites = (idx(c, 2 * k), idx(c + 1, 2 * k + 1), idx(c + 1, 2 * k), idx(c, 2 * k + 1))
+    odd_sites = (
+        idx(c + 2, 2 * k + 1), idx(c + 1, 2 * k + 2), idx(c + 2, 2 * k + 2), idx(c + 1, 2 * k + 1)
+    )
+    rows, cols, vals = [], [], []
+    for (in0, in1, out0, out1), blocks in ((even_sites, even), (odd_sites, odd)):
+        rows.append(np.stack([out0, out0, out1, out1], axis=-1).ravel())
+        cols.append(np.stack([in0, in1, in0, in1], axis=-1).ravel())
+        vals.append(blocks.reshape(-1))
+    rows.append(np.stack([idx(-2 * L, 2 * k + 2), idx(2 * L, 2 * k + 1)], axis=-1).ravel())
+    cols.append(np.stack([idx(-2 * L, 2 * k + 1), idx(2 * L, 2 * k)], axis=-1).ravel())
+    vals.append(np.ones(2 * M, dtype=complex))
+    mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    )
+    return FiniteOperator(L=L, M=M, params=params, matrix=mat)
+
+
+def _reduced_blocks(q0: np.ndarray, q1: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Node blocks diag(q0, q1) [[t, -r], [r, t]] for output phases q0, q1."""
+    entries = [q0 * params.t, -q0 * params.r, q1 * params.r, q1 * params.t]
+    return np.stack(entries, axis=-1).reshape(q0.shape + (2, 2))
 
 
 def build_cylinder_operator(
@@ -344,11 +380,8 @@ def build_cylinder_operator(
 ) -> FiniteOperator:
     """Assemble U^D = D(q) S restricted to the window, reduced disorder.
 
-    Interior blocks: the even node at (c, 2k) couples inputs (c, 2k),
-    (c+1, 2k+1) to outputs (c+1, 2k), (c, 2k+1); the odd node at (c, 2k+1)
-    couples inputs (c+1, 2k+1), (c, 2k+2) to outputs (c+1, 2k+2), (c, 2k+1).
-    Each output row is multiplied by its site phase.  The two reflecting wall
-    rules are placed with amplitude one.
+    Each node block is the rotation [[t, -r], [r, t]] with its output rows
+    multiplied by the output site phases (node geometry on ``_assemble``).
     """
     if M < 1 or L < 0:
         raise ValueError("need M >= 1 and L >= 0")
@@ -357,90 +390,27 @@ def build_cylinder_operator(
             f"phase window (L={phases.L}, M={phases.M}) does not cover operator window "
             f"(L={L}, M={M})"
         )
-    two_m = 2 * M
-    dim = two_m * (4 * L + 1)
-    rows, cols, vals = [], [], []
-
-    def idx(c, m):
-        return (c + 2 * L) * two_m + (m % two_m)
-
-    def q(c, m):
-        return phases.phase(c, m)
-
-    even_cols, odd_cols = _node_spans(L)
-    for c in even_cols:
-        for k in range(M):
-            a = q(c + 1, 2 * k)      # phase of output (c+1, 2k)
-            b = q(c, 2 * k + 1)      # phase of output (c, 2k+1)
-            in0, in1 = idx(c, 2 * k), idx(c + 1, 2 * k + 1)
-            out0, out1 = idx(c + 1, 2 * k), idx(c, 2 * k + 1)
-            rows += [out0, out0, out1, out1]
-            cols += [in0, in1, in0, in1]
-            vals += [a * params.t, -a * params.r, b * params.r, b * params.t]
-    for c in odd_cols:
-        for k in range(M):
-            cp = q(c + 1, 2 * k + 2)  # phase of output (c+1, 2k+2)
-            d = q(c, 2 * k + 1)       # phase of output (c, 2k+1)
-            in0, in1 = idx(c + 1, 2 * k + 1), idx(c, 2 * k + 2)
-            out0, out1 = idx(c + 1, 2 * k + 2), idx(c, 2 * k + 1)
-            rows += [out0, out0, out1, out1]
-            cols += [in0, in1, in0, in1]
-            vals += [cp * params.t, -cp * params.r, d * params.r, d * params.t]
-    for k in range(M):
-        # left wall: e(-2L, 2k+1) -> e(-2L, 2k+2); right wall: e(2L, 2k) -> e(2L, 2k+1)
-        rows.append(idx(-2 * L, 2 * k + 2))
-        cols.append(idx(-2 * L, 2 * k + 1))
-        vals.append(1.0)
-        rows.append(idx(2 * L, 2 * k + 1))
-        cols.append(idx(2 * L, 2 * k))
-        vals.append(1.0)
-
-    mat = sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    )
-    return FiniteOperator(L=L, M=M, params=params, matrix=mat)
+    # row i of q is column -2L + i of the operator window
+    # output phases: even nodes (c+1, 2k), (c, 2k+1); odd nodes (c+2, 2k+2), (c+1, 2k+1)
+    q = phases.values[2 * (phases.L - L) : 2 * (phases.L + L) + 1]
+    even = _reduced_blocks(q[1::2, 0::2], q[0:-1:2, 1::2], params)
+    odd = _reduced_blocks(np.roll(q[2::2, 0::2], -1, axis=1), q[1::2, 1::2], params)
+    return _assemble(params, L, M, even, odd)
 
 
 def build_full_cylinder_operator(
     params: ModelParams, nodes: NodePhaseField, L: int, M: int
 ) -> FiniteOperator:
     """Same window and walls, but with the unreduced six-phase node blocks."""
-    two_m = 2 * M
-    dim = two_m * (4 * L + 1)
-    rows, cols, vals = [], [], []
-
-    def idx(c, m):
-        return (c + 2 * L) * two_m + (m % two_m)
-
-    even_cols, odd_cols = _node_spans(L)
-    for c in even_cols:
-        for k in range(M):
-            s = scattering_matrix(nodes.six(c, 2 * k)[:3], params)
-            in0, in1 = idx(c, 2 * k), idx(c + 1, 2 * k + 1)
-            out0, out1 = idx(c + 1, 2 * k), idx(c, 2 * k + 1)
-            rows += [out0, out0, out1, out1]
-            cols += [in0, in1, in0, in1]
-            vals += [s[0, 0], s[0, 1], s[1, 0], s[1, 1]]
-    for c in odd_cols:
-        for k in range(M):
-            s = scattering_matrix(nodes.six(c - 1, 2 * k)[3:], params)
-            in0, in1 = idx(c + 1, 2 * k + 1), idx(c, 2 * k + 2)
-            out0, out1 = idx(c + 1, 2 * k + 2), idx(c, 2 * k + 1)
-            rows += [out0, out0, out1, out1]
-            cols += [in0, in1, in0, in1]
-            vals += [s[0, 0], s[0, 1], s[1, 0], s[1, 1]]
-    for k in range(M):
-        rows.append(idx(-2 * L, 2 * k + 2))
-        cols.append(idx(-2 * L, 2 * k + 1))
-        vals.append(1.0)
-        rows.append(idx(2 * L, 2 * k + 1))
-        cols.append(idx(2 * L, 2 * k))
-        vals.append(1.0)
-
-    mat = sparse.csr_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    )
-    return FiniteOperator(L=L, M=M, params=params, matrix=mat)
+    blocks = [
+        [
+            [scattering_matrix(nodes.six(c, 2 * k)[half], params) for k in range(M)]
+            for c in range(-2 * L, 2 * L, 2)
+        ]
+        for half in (slice(0, 3), slice(3, 6))
+    ]
+    even, odd = np.asarray(blocks, dtype=complex).reshape(2, 2 * L, M, 2, 2)
+    return _assemble(params, L, M, even, odd)
 
 
 def apply_operator(op: FiniteOperator, v: np.ndarray) -> np.ndarray:

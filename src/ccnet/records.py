@@ -12,6 +12,8 @@ import csv
 import json
 from dataclasses import dataclass, field
 
+from . import __version__
+
 __all__ = ["CSV_HEADER", "ResultRecord", "canonical_row", "emit", "read_records"]
 
 CSV_HEADER = [
@@ -53,7 +55,7 @@ class ResultRecord:
     config: dict
     rows: list = field(default_factory=list)
     wall_clock_s: float = 0.0
-    version: str = "0.1.0"
+    version: str = __version__
 
     def data_equal(self, other: "ResultRecord") -> bool:
         """Equality of the deterministic data section (metadata excluded)."""

@@ -25,12 +25,9 @@ import numpy as np
 from .model import ModelParams, PhaseField
 
 __all__ = [
-    "TransferBlock",
     "LayerPhases",
     "TransferMatrix",
     "Propagator",
-    "t_eo",
-    "t_oe",
     "layer_matrices",
     "cocycle_step",
     "phase_slotting",
@@ -62,42 +59,6 @@ def _check_phases(q, n: int) -> np.ndarray:
     if np.max(np.abs(np.abs(q) - 1.0)) > 1e-9:
         raise ValueError("phases must be unit modulus")
     return q
-
-
-@dataclass(frozen=True)
-class TransferBlock:
-    """One 2x2 transfer step; role 'eo' maps an even column, 'oe' an odd one."""
-
-    matrix: np.ndarray
-    z: complex
-    role: str
-
-    def u11_defect(self) -> float:
-        j = np.diag([1.0, -1.0])
-        b = self.matrix
-        return float(np.linalg.norm(b.conj().T @ j @ b - j, 2))
-
-
-def t_eo(z: complex, q, params: ModelParams) -> TransferBlock:
-    """Even-to-odd block diag(q1 q2, q3) (1/t)[[1/z, -r], [-r, z]] diag(q3, conj(q1) q2)."""
-    z = _check_z(z)
-    params.require_transport()
-    q1, q2, q3 = _check_phases(q, 3)
-    core = np.array([[1.0 / z, -params.r], [-params.r, z]]) / params.t
-    left = np.diag([q1 * q2, q3])
-    right = np.diag([q3, np.conj(q1) * q2])
-    return TransferBlock(matrix=left @ core @ right, z=z, role="eo")
-
-
-def t_oe(z: complex, q, params: ModelParams) -> TransferBlock:
-    """Odd-to-even block diag(conj(q3), q1 q2) (1/r)[[z, -t], [t, -1/z]] diag(conj(q1) q2, conj(q3))."""
-    z = _check_z(z)
-    params.require_transport()
-    q1, q2, q3 = _check_phases(q, 3)
-    core = np.array([[z, -params.t], [params.t, -1.0 / z]]) / params.r
-    left = np.diag([np.conj(q3), q1 * q2])
-    right = np.diag([np.conj(q1) * q2, np.conj(q3)])
-    return TransferBlock(matrix=left @ core @ right, z=z, role="oe")
 
 
 def layer_matrices(z: complex, M: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -137,6 +98,7 @@ class LayerPhases:
     odd slots p1, p3, ... make up p_r = (1, p1, 1, p3, ...) on the incoming
     side and even slots p0, p2, ... make up p_l = (p0, 1, p2, 1, ...) on the
     outgoing side; the second 2M entries are the middle diagonal p_m.
+    ``_split_slots`` is the one reader of this layout.
     """
 
     M: int
@@ -152,22 +114,6 @@ class LayerPhases:
     @classmethod
     def ones(cls, M: int) -> "LayerPhases":
         return cls(M=M, phases=np.ones(4 * M, dtype=complex))
-
-    @property
-    def p_r(self) -> np.ndarray:
-        out = np.ones(2 * self.M, dtype=complex)
-        out[1::2] = self.phases[1 : 2 * self.M : 2]
-        return out
-
-    @property
-    def p_l(self) -> np.ndarray:
-        out = np.ones(2 * self.M, dtype=complex)
-        out[0::2] = self.phases[0 : 2 * self.M : 2]
-        return out
-
-    @property
-    def p_m(self) -> np.ndarray:
-        return self.phases[2 * self.M :].copy()
 
     def twisted(self, w: complex) -> "LayerPhases":
         """The phase twist w . p: even slots scaled by 1/w, odd slots by w.
@@ -209,36 +155,67 @@ class Propagator(TransferMatrix):
     L: int = 0
 
 
+def _split_slots(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split (..., 4M) layer slots into the diagonals (p_r, p_m, p_l), each (..., 2M).
+
+    Follows the layout documented on ``LayerPhases``; the unphased entries
+    of p_r and p_l are ones.
+    """
+    slots = np.asarray(slots)
+    two_m = slots.shape[-1] // 2
+    p_r = np.ones(slots.shape[:-1] + (two_m,), dtype=complex)
+    p_l = np.ones_like(p_r)
+    p_r[..., 1::2] = slots[..., 1:two_m:2]
+    p_l[..., 0::2] = slots[..., 0:two_m:2]
+    return p_r, slots[..., two_m:], p_l
+
+
+def _apply_layer(m1, m2, p_r, p_m, p_l, frame: np.ndarray) -> np.ndarray:
+    """One cocycle step A_z(p) frame = D(p_l) M2(z) D(p_m) M1(z) D(p_r) frame.
+
+    The operand order is fixed: numpy's complex multiply is not bitwise
+    commutative, and every caller relies on this exact rounding.
+    """
+    return p_l[:, None] * (m2 @ (p_m[:, None] * (m1 @ (p_r[:, None] * frame))))
+
+
 def cocycle_step(z: complex, layer: LayerPhases, params: ModelParams) -> TransferMatrix:
     """One generator A_z(p) = D(p_l) M2(z) D(p_m) M1(z) D(p_r)."""
     m1, m2 = layer_matrices(z, layer.M, params)
-    a = (layer.p_l[:, None] * m2) @ (layer.p_m[:, None] * m1) @ np.diag(layer.p_r)
+    eye = np.eye(2 * layer.M, dtype=complex)
+    a = _apply_layer(m1, m2, *_split_slots(layer.phases), eye)
     return TransferMatrix(matrix=a, z=complex(z), M=layer.M)
 
 
-def phase_slotting(phases: PhaseField, j: int) -> LayerPhases:
-    """Slot the site phases of columns 2j .. 2j+2 into one cocycle layer.
+def _slot_layers(phases: PhaseField, j_lo: int, j_hi: int) -> np.ndarray:
+    """The (j_hi - j_lo, 4M) slots of the layers j = j_lo .. j_hi - 1.
 
-    Derived from the two-site recursions: the incoming factor D(p_r) holds
-    the conjugated odd-ring phases of column 2j, the outgoing factor D(p_l)
-    the even-ring phases of column 2j+2, and the middle diagonal D(p_m) the
-    column 2j+1 phases with odd rings conjugated.  Each site phase is
-    consumed by exactly one layer, so the slotted process is i.i.d. uniform.
+    Derived from the two-site recursions: the incoming factor D(p_r) of
+    layer j holds the conjugated odd-ring phases of column 2j, the outgoing
+    factor D(p_l) the even-ring phases of column 2j+2, and the middle
+    diagonal D(p_m) the column 2j+1 phases with odd rings conjugated.  Each
+    site phase is consumed by exactly one layer, so the slotted process is
+    i.i.d. uniform.
     """
-    if not phases.covers_columns(2 * j, 2 * j + 2):
+    if not phases.covers_columns(2 * j_lo, 2 * j_hi):
         raise ValueError(
-            f"columns {2*j}..{2*j+2} outside phase window [-{2*phases.L}, {2*phases.L}]"
+            f"columns {2*j_lo}..{2*j_hi} outside phase window [-{2*phases.L}, {2*phases.L}]"
         )
-    M = phases.M
-    left = phases.column_phases(2 * j)
-    mid = phases.column_phases(2 * j + 1)
-    right = phases.column_phases(2 * j + 2)
-    slots = np.empty(4 * M, dtype=complex)
-    slots[0 : 2 * M : 2] = right[0::2]           # p_l slots: column 2j+2, even rings
-    slots[1 : 2 * M : 2] = np.conj(left[1::2])   # p_r slots: column 2j, odd rings
-    slots[2 * M :: 2] = mid[0::2]                # p_m, even rings
-    slots[2 * M + 1 :: 2] = np.conj(mid[1::2])   # p_m, odd rings conjugated
-    return LayerPhases(M=M, phases=slots)
+    two_m = 2 * phases.M
+    base = 2 * phases.L
+    cols = phases.values[2 * j_lo + base : 2 * j_hi + base + 1]
+    left, mid, right = cols[0:-1:2], cols[1::2], cols[2::2]
+    slots = np.empty((j_hi - j_lo, 2 * two_m), dtype=complex)
+    slots[:, 0:two_m:2] = right[:, 0::2]          # p_l slots: column 2j+2, even rings
+    slots[:, 1:two_m:2] = np.conj(left[:, 1::2])  # p_r slots: column 2j, odd rings
+    slots[:, two_m::2] = mid[:, 0::2]             # p_m, even rings
+    slots[:, two_m + 1 :: 2] = np.conj(mid[:, 1::2])  # p_m, odd rings conjugated
+    return slots
+
+
+def phase_slotting(phases: PhaseField, j: int) -> LayerPhases:
+    """Slot the site phases of columns 2j .. 2j+2 into one cocycle layer."""
+    return LayerPhases(M=phases.M, phases=_slot_layers(phases, j, j + 1)[0])
 
 
 def propagate(z: complex, phases: PhaseField, L: int, params: ModelParams) -> Propagator:
@@ -251,14 +228,12 @@ def propagate(z: complex, phases: PhaseField, L: int, params: ModelParams) -> Pr
     z = _check_z(z)
     if L < 0:
         raise ValueError("need L >= 0")
-    if not phases.covers_columns(-2 * L, 2 * L):
-        raise ValueError("phase window does not cover the propagation range")
+    p_r, p_m, p_l = _split_slots(_slot_layers(phases, -L, L))
     M = phases.M
     m1, m2 = layer_matrices(z, M, params)
     mat = np.eye(2 * M, dtype=complex)
-    for j in range(-L, L):
-        layer = phase_slotting(phases, j)
-        mat = layer.p_l[:, None] * (m2 @ (layer.p_m[:, None] * (m1 @ (layer.p_r[:, None] * mat))))
+    for j in range(2 * L):
+        mat = _apply_layer(m1, m2, p_r[j], p_m[j], p_l[j], mat)
     return Propagator(matrix=mat, z=z, M=M, L=L)
 
 

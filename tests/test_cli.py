@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ccnet import __version__
 from ccnet.cli import main
 from ccnet.records import CSV_HEADER, ResultRecord, canonical_row, emit, read_records
 
@@ -56,6 +57,10 @@ def test_json_round_trip(tmp_path):
     loaded = read_records(path, "json")
     assert len(loaded) == 1
     assert loaded[0].data_equal(record)
+
+
+def test_record_version_is_package_version():
+    assert ResultRecord(command="dos", config={}).version == __version__
 
 
 def test_emit_rejects_unknown_format(tmp_path):
@@ -119,6 +124,14 @@ def test_lyapunov_rejects_extreme_r(capsys):
     with pytest.raises(SystemExit) as err:
         main(["lyapunov", "--r", "0", "--M", "1", "--steps", "1000", "--seeds", "1"])
     assert err.value.code == 2
+
+
+def test_workers_env_must_be_integer(monkeypatch, capsys):
+    monkeypatch.setenv("CCNET_WORKERS", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["lyapunov", "--r", "0.6", "--M", "1", "--steps", "1000", "--seeds", "1"])
+    assert err.value.code == 2
+    assert "CCNET_WORKERS" in capsys.readouterr().err
 
 
 def test_seeds_must_be_nonempty():

@@ -201,6 +201,15 @@ def test_band_symbol_eigenphase_law(rng, lopsided):
         assert np.max(np.abs(np.abs(evals) - 1.0)) <= 1e-12
 
 
+def test_band_symbol_broadcasts(rng, lopsided):
+    xs, ys = rng.uniform(-np.pi, np.pi, 5), rng.uniform(-np.pi, np.pi, 3)
+    grid = band_symbol(xs[:, None], ys[None, :], lopsided)
+    assert grid.shape == (5, 3, 2, 2)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert np.array_equal(grid[i, j], band_symbol(x, y, lopsided))
+
+
 def test_band_symbol_degenerate_at_critical(critical):
     evals = np.linalg.eigvals(band_symbol(np.pi / 2, -np.pi / 2, critical))
     assert np.max(np.abs(evals - 1j)) <= 1e-7

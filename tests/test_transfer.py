@@ -13,39 +13,8 @@ from ccnet import (
     reconstruct_and_verify,
     reconstruct_columns,
     sample_phase_field,
-    t_eo,
-    t_oe,
 )
 from ccnet.spectral import band_symbol
-
-
-# ---------------------------------------------------------------------------
-# 2x2 blocks
-
-
-def test_t_eo_trivial_phases(lopsided):
-    b = t_eo(1.0, (1, 1, 1), lopsided)
-    assert np.allclose(b.matrix, np.array([[1, -0.6], [-0.6, 1]]) / 0.8, atol=1e-15)
-
-
-def test_t_oe_trivial_phases(lopsided):
-    b = t_oe(1.0, (1, 1, 1), lopsided)
-    assert np.allclose(b.matrix, np.array([[1, -0.8], [0.8, -1]]) / 0.6, atol=1e-15)
-
-
-def test_blocks_in_u11_on_circle(rng, lopsided):
-    for _ in range(100):
-        z = np.exp(2j * np.pi * rng.random())
-        q = np.exp(2j * np.pi * rng.random(3))
-        assert t_eo(z, q, lopsided).u11_defect() <= 1e-12
-        assert t_oe(z, q, lopsided).u11_defect() <= 1e-12
-
-
-def test_blocks_domain_errors(lopsided):
-    with pytest.raises(ValueError):
-        t_eo(0.0, (1, 1, 1), lopsided)
-    with pytest.raises(ValueError):
-        t_oe(1.0, (1, 1, 1), ModelParams.from_r(0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +53,18 @@ def test_layer_matrix_norm_bound(lopsided):
     assert norm <= (1 + lopsided.r) / lopsided.t + 1e-12
     # the bound is tight: the block's top singular value is exactly (1+r)/t
     assert norm == pytest.approx((1 + lopsided.r) / lopsided.t, abs=1e-12)
+
+
+def test_blocks_domain_errors(lopsided):
+    # z = 0 and rt = 0 are rejected wherever the transfer blocks are built
+    with pytest.raises(ValueError):
+        layer_matrices(0.0, 2, lopsided)
+    with pytest.raises(ValueError):
+        layer_matrices(1.0, 2, ModelParams.from_r(0.0))
+    with pytest.raises(ValueError):
+        cocycle_step(0.0, LayerPhases.ones(2), lopsided)
+    with pytest.raises(ValueError):
+        cocycle_step(1.0, LayerPhases.ones(2), ModelParams.from_r(1.0))
 
 
 def test_layer_matrices_m2_corner_entries(lopsided):
@@ -140,13 +121,23 @@ def test_cocycle_spectral_covariance(rng):
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_layer_phase_slot_layout(rng):
-    layer = LayerPhases.random(rng, 2)
-    assert np.all(layer.p_r[0::2] == 1)
-    assert np.all(layer.p_l[1::2] == 1)
-    assert np.array_equal(layer.p_r[1::2], layer.phases[1:4:2])
-    assert np.array_equal(layer.p_l[0::2], layer.phases[0:4:2])
-    assert np.array_equal(layer.p_m, layer.phases[4:])
+def test_cocycle_step_matches_dense_oracle(rng, lopsided):
+    # D(p_l) M2 D(p_m) M1 D(p_r) built densely from the slot layout documented
+    # on LayerPhases, on and off the unit circle
+    for M in range(1, 5):
+        for modulus in (1.0, 0.6, 1.7):
+            z = modulus * np.exp(2j * np.pi * rng.random())
+            layer = LayerPhases.random(rng, M)
+            slots = layer.phases
+            p_r = np.ones(2 * M, dtype=complex)
+            p_r[1::2] = slots[1 : 2 * M : 2]
+            p_l = np.ones(2 * M, dtype=complex)
+            p_l[0::2] = slots[0 : 2 * M : 2]
+            p_m = slots[2 * M :]
+            m1, m2 = layer_matrices(z, M, lopsided)
+            oracle = np.diag(p_l) @ m2 @ np.diag(p_m) @ m1 @ np.diag(p_r)
+            step = cocycle_step(z, layer, lopsided).matrix
+            assert np.max(np.abs(step - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +229,19 @@ def test_reconstruct_matches_propagator(rng, lopsided):
     z = np.exp(0.77j)
     psi0 = rng.standard_normal(2 * M) + 1j * rng.standard_normal(2 * M)
     cols = reconstruct_columns(z, phases, psi0, L, lopsided)
-    prop = propagate(z, phases, L, lopsided)
-    # propagate runs from column -2L; shift by comparing its action on the
-    # reconstructed columns instead: column block j -> j+2 one step at a time
-    from ccnet.transfer import cocycle_step, phase_slotting
-
     for j in range(0, L):
         step = cocycle_step(z, phase_slotting(phases, j), lopsided)
         assert np.max(np.abs(step.matrix @ cols[2 * j] - cols[2 * j + 2])) <= 1e-10 * np.max(
             np.abs(cols)
         )
+    # the propagator slots all 2L layers at once; the ordered product of the
+    # single-layer steps j = -L .. L-1 is its oracle, on and off the circle
+    for zz in (z, 1.4 * np.exp(-0.3j)):
+        oracle = np.eye(2 * M, dtype=complex)
+        for j in range(-L, L):
+            oracle = cocycle_step(zz, phase_slotting(phases, j), lopsided).matrix @ oracle
+        prop = propagate(zz, phases, L, lopsided).matrix
+        assert np.linalg.norm(prop - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_reconstruct_oracle_against_finite_operator(rng, lopsided):
