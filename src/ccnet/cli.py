@@ -208,7 +208,7 @@ def cmd_lyapunov(args, parser) -> int:
         for seed in args.seeds
     ]
     cells.sort()
-    started = time.time()
+    started = time.perf_counter()
     results = _parallel(_lyapunov_cell, cells, args.workers)
     all_rows, any_fail = [], False
     for cell, result in results:
@@ -219,7 +219,7 @@ def cmd_lyapunov(args, parser) -> int:
         command="lyapunov",
         config=_config_echo(args, r=rs, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps),
         rows=all_rows,
-        wall_clock_s=time.time() - started,
+        wall_clock_s=time.perf_counter() - started,
     )
     _write(args, [record])
     return 1 if any_fail else 0
@@ -236,7 +236,7 @@ def cmd_xi_scaling(args, parser) -> int:
         for seed in args.seeds
     ]
     cells.sort()
-    started = time.time()
+    started = time.perf_counter()
     results = _parallel(_lyapunov_cell, cells, args.workers)
     rows = []
     for cell, result in results:
@@ -263,7 +263,7 @@ def cmd_xi_scaling(args, parser) -> int:
         command="xi-scaling",
         config=_config_echo(args, r=rs, M=args.M, seeds=args.seeds, steps=args.steps),
         rows=rows,
-        wall_clock_s=time.time() - started,
+        wall_clock_s=time.perf_counter() - started,
     )
     _write(args, [record])
     return 0
@@ -275,7 +275,7 @@ def cmd_xi_scaling(args, parser) -> int:
 
 def cmd_dos(args, parser) -> int:
     params = _params_from_r(parser, args.r[0] if args.r else DEFAULT_R_GRID[2])
-    started = time.time()
+    started = time.perf_counter()
     hist = dos_moments(params, args.M[0], args.L, args.seeds, K=args.moments, bins=args.bins)
     rows = []
     ok = True
@@ -319,7 +319,7 @@ def cmd_dos(args, parser) -> int:
             args, r=[params.r], M=args.M, L=args.L, seeds=args.seeds, moments=args.moments
         ),
         rows=rows,
-        wall_clock_s=time.time() - started,
+        wall_clock_s=time.perf_counter() - started,
     )
     _write(args, [record])
     if args.hist_out:
@@ -333,7 +333,7 @@ def cmd_dos(args, parser) -> int:
 def cmd_det_check(args, parser) -> int:
     params = _params_from_r(parser, args.r[0] if args.r else 0.6)
     M, L = args.M[0], args.L
-    started = time.time()
+    started = time.perf_counter()
     rows = []
     worst = 0.0
     trial = 0
@@ -374,7 +374,7 @@ def cmd_det_check(args, parser) -> int:
             args, r=[params.r], M=[M], L=L, seeds=args.seeds, z_count=args.z_count
         ),
         rows=rows,
-        wall_clock_s=time.time() - started,
+        wall_clock_s=time.perf_counter() - started,
     )
     _write(args, [record])
     return 0 if worst <= args.tol else 1
@@ -383,7 +383,7 @@ def cmd_det_check(args, parser) -> int:
 def cmd_bands(args, parser) -> int:
     r = args.r[0] if args.r else DEFAULT_R_GRID[2]
     params = _params_from_r(parser, r)
-    started = time.time()
+    started = time.perf_counter()
     structure = band_grid(params, args.nx, args.ny)
     edge = structure.band_edge()
     expected = math.asin(min(1.0, 2.0 * params.rt))
@@ -410,7 +410,7 @@ def cmd_bands(args, parser) -> int:
         command="bands",
         config=_config_echo(args, r=[params.r], nx=args.nx, ny=args.ny),
         rows=rows,
-        wall_clock_s=time.time() - started,
+        wall_clock_s=time.perf_counter() - started,
     )
     _write(args, [record])
     if args.table_out:
@@ -426,7 +426,7 @@ def cmd_bands(args, parser) -> int:
 def cmd_decay(args, parser) -> int:
     params = _params_from_r(parser, args.r[0] if args.r else 0.95)
     M, L = args.M[0], args.L
-    started = time.time()
+    started = time.perf_counter()
     rows = []
     for seed in args.seeds:
         phases = sample_phase_field(seed, L, M)
@@ -452,7 +452,7 @@ def cmd_decay(args, parser) -> int:
         command="decay",
         config=_config_echo(args, r=[params.r], M=[M], L=L, seeds=args.seeds),
         rows=rows,
-        wall_clock_s=time.time() - started,
+        wall_clock_s=time.perf_counter() - started,
     )
     _write(args, [record])
     return 0
@@ -654,7 +654,7 @@ def _verify_checks(quick: bool):
 
 def cmd_verify(args, parser) -> int:
     failures = 0
-    started = time.time()
+    started = time.perf_counter()
     for name, check in _verify_checks(args.quick):
         try:
             ok, detail = check()
@@ -662,7 +662,7 @@ def cmd_verify(args, parser) -> int:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
-    print(f"verify: {failures} failure(s) in {time.time() - started:.1f}s")
+    print(f"verify: {failures} failure(s) in {time.perf_counter() - started:.1f}s")
     return 1 if failures else 0
 
 

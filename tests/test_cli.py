@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccnet
 from ccnet import __version__
 from ccnet.cli import main
 from ccnet.records import CSV_HEADER, ResultRecord, canonical_row, emit, read_records
@@ -70,6 +75,19 @@ def test_emit_rejects_unknown_format(tmp_path):
 
 # ---------------------------------------------------------------------------
 # command-line interface
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # the eigensolver imports scipy.linalg on first use; a module-level import
+    # would add its load time and memory to every command's start-up
+    src = str(Path(ccnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, ccnet.cli; ccnet.cli.build_parser(); print('scipy.linalg' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_verify_quick_exits_clean(capsys):

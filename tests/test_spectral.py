@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ccnet import (
+    FiniteOperator,
     ModelParams,
     band_grid,
     band_structure,
@@ -18,6 +20,7 @@ from ccnet import (
     ks_statistic,
     sample_phase_field,
 )
+from ccnet.spectral import PENCIL_SKEW_WEIGHT, EigensolverError
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +60,89 @@ def test_eigendecompose_cap(lopsided):
     op = build_cylinder_operator(lopsided, sample_phase_field(1, 2, 2), 2, 2)
     with pytest.raises(ValueError):
         eigendecompose(op, max_dim=10)
+
+
+def _phases_from_cut(evals, reference):
+    """Sorted phases measured from the middle of the widest gap of ``reference``.
+
+    Cutting the circle there keeps every eigenvalue away from the branch cut,
+    so phases near 0 and near 2pi cannot swap ends between two solvers.
+    """
+    ref = np.sort(np.mod(np.angle(reference), 2 * np.pi))
+    gaps = np.diff(np.r_[ref, ref[0] + 2 * np.pi])
+    widest = int(np.argmax(gaps))
+    cut = ref[widest] + gaps[widest] / 2
+    return np.sort(np.mod(np.angle(evals) - cut, 2 * np.pi))
+
+
+@pytest.mark.parametrize("L", [0, 1, 3, 6])
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+@pytest.mark.parametrize("r", [0.0, 0.3, 0.6, math.sqrt(0.5), 0.95, 1.0])
+def test_eigendecompose_matches_eig_oracle(r, M, L):
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(3, L, M), L, M)
+    dense = op.to_dense()
+    oracle = np.linalg.eig(dense)[0]
+    spec = eigendecompose(op)
+    got = _phases_from_cut(spec.eigenvalues, oracle)
+    assert np.max(np.abs(got - _phases_from_cut(oracle, oracle))) <= 1e-12
+    vecs = spec.eigenvectors
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(op.dim))) <= 1e-12
+    residuals = np.linalg.norm(dense @ vecs - vecs * spec.eigenvalues, axis=0)
+    assert residuals.max() <= 1e-10
+    assert spec.max_residual <= 1e-10
+    values_only = eigendecompose(op, want_vectors=False)
+    assert values_only.eigenvectors is None
+    assert np.array_equal(values_only.eigenvalues, spec.eigenvalues)
+    assert values_only.max_residual == spec.max_residual
+
+
+def _normal_operator(thetas, seed, matrix_scale=1.0):
+    """A FiniteOperator (L = 2, M = 1) whose matrix is Q diag(e^{i theta}) Q^*."""
+    rng = np.random.default_rng(seed)
+    n = 2 * (4 * 2 + 1)
+    assert len(thetas) == n
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    dense = matrix_scale * (q * np.exp(1j * np.asarray(thetas))) @ q.conj().T
+    return FiniteOperator(
+        L=2, M=1, params=ModelParams.from_r(0.6), matrix=sparse.csr_matrix(dense)
+    )
+
+
+def _assert_exact_spectrum(op, thetas):
+    expected = np.exp(1j * np.asarray(thetas))
+    for want_vectors in (False, True):
+        spec = eigendecompose(op, want_vectors=want_vectors)
+        got = _phases_from_cut(spec.eigenvalues, expected)
+        assert np.max(np.abs(got - _phases_from_cut(expected, expected))) <= 1e-12
+        assert spec.max_residual <= 1e-10
+
+
+def test_eigendecompose_separates_mirror_pairs():
+    # theta and 2 atan(a) - theta share one pencil level exactly
+    rng = np.random.default_rng(41)
+    half = 2 * np.pi * rng.random(9)
+    thetas = np.r_[half, 2 * math.atan(PENCIL_SKEW_WEIGHT) - half]
+    _assert_exact_spectrum(_normal_operator(thetas, 1), thetas)
+
+
+def test_eigendecompose_repeated_eigenvalue():
+    rng = np.random.default_rng(43)
+    thetas = np.r_[np.full(5, 1.234), 2 * np.pi * rng.random(13)]
+    _assert_exact_spectrum(_normal_operator(thetas, 2), thetas)
+
+
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_eigendecompose_gates_reject_non_unitary(want_vectors):
+    thetas = 2 * np.pi * np.random.default_rng(47).random(18)
+    scaled = _normal_operator(thetas, 3, matrix_scale=1.5)
+    with pytest.raises(EigensolverError, match="unit circle"):
+        eigendecompose(scaled, want_vectors=want_vectors)
+    skewed = _normal_operator(thetas, 3)
+    dense = skewed.to_dense()
+    dense[0, 1] += 0.1
+    non_normal = FiniteOperator(L=2, M=1, params=skewed.params, matrix=sparse.csr_matrix(dense))
+    with pytest.raises(EigensolverError, match="residual"):
+        eigendecompose(non_normal, want_vectors=want_vectors)
 
 
 # ---------------------------------------------------------------------------
