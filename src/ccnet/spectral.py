@@ -113,7 +113,11 @@ def eigendecompose(
         )
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    del pencil  # overwritten by zheevr; free it before the vectors are reordered
+    # zheevr has overwritten the pencil.  The vector path reuses its buffer for
+    # the sorted vectors, so no third N x N array is allocated and the peak
+    # memory is the same on every call; the eigenvalue path frees it here.
+    sorted_vecs = pencil if want_vectors else None
+    del pencil
     _rotate_clusters(u, levels, vecs)
     evals = np.empty(n, dtype=complex)
     max_residual = 0.0
@@ -138,10 +142,13 @@ def eigendecompose(
         evals[start : start + _CHUNK] = quotients
     phases = np.mod(np.angle(evals), 2.0 * np.pi)
     order = np.argsort(phases)
+    if sorted_vecs is not None:
+        # mode="clip" writes straight into out; a permutation is never clipped
+        np.take(vecs.T, order, axis=0, out=sorted_vecs.T, mode="clip")
     return SpectrumResult(
         eigenphases=phases[order],
         eigenvalues=evals[order],
-        eigenvectors=vecs[:, order] if want_vectors else None,
+        eigenvectors=sorted_vecs,
         L=op.L,
         M=op.M,
         max_residual=max_residual,
