@@ -4,7 +4,9 @@ Layers: ``model`` (scattering blocks, disorder, finite unitary), ``transfer``
 (layer matrices, cocycle kernel, propagator, reconstruction), ``lyapunov``
 (QR-stabilized spectrum estimates and exact laws), ``spectral``
 (eigendecompositions, density of states, determinant identity, bands,
-decay fits), ``cli``/``records`` (harness and persistence).
+decay fits), ``invariants`` (the exact-identity checks shared by ``ccnet
+verify`` and the acceptance suite), ``cli``/``records`` (harness and
+persistence).
 """
 
 __version__ = "0.1.0"

@@ -28,16 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__
-from .model import (
-    ModelParams,
-    build_cylinder_operator,
-    reduce_phases,
-    sample_node_phases,
-    sample_phase_field,
-    scattering_matrix,
-    extreme_block_check,
-)
+from . import __version__, invariants
+from .model import ModelParams, build_cylinder_operator, sample_phase_field
 from .lyapunov import (
     CocycleRunConfig,
     localization_length,
@@ -47,18 +39,10 @@ from .lyapunov import (
 from .records import ResultRecord, canonical_row, emit
 from .spectral import (
     band_grid,
-    build_parity_operators,
     determinant_identity_residual,
     dos_moments,
     eigendecompose,
     eigenvector_decay_fit,
-    krylov_rank,
-)
-from .transfer import (
-    LayerPhases,
-    cocycle_step,
-    propagate,
-    reconstruct_and_verify,
 )
 
 DEFAULT_R_GRID = [0.6, 0.66, math.sqrt(0.5), math.sqrt(1 - 0.66**2), 0.8]
@@ -482,182 +466,12 @@ def cmd_dump(args, parser) -> int:
 # verify
 
 
-def _verify_checks(quick: bool):
-    """The exact-identity suite; yields (name, callable) pairs."""
-    draw_u11 = 200 if quick else 1000
-    draw_wall = 25 if quick else 100
-    det_z = 4 if quick else 20
-    det_seeds = [1] if quick else [1, 2, 3, 4, 5]
-    recon_trials = 10 if quick else 100
-
-    def scattering_check():
-        rng = np.random.default_rng(0)
-        worst_u, worst_d = 0.0, 0.0
-        for _ in range(draw_u11 // 2):
-            params = ModelParams.from_r(0.05 + 0.9 * rng.random())
-            q = np.exp(2j * np.pi * rng.random(3))
-            s = scattering_matrix(q, params)
-            worst_u = max(worst_u, np.max(np.abs(s.conj().T @ s - np.eye(2))))
-            worst_d = max(worst_d, abs(np.linalg.det(s) - q[0] ** 2))
-        return max(worst_u, worst_d) <= 1e-14, f"max defect {max(worst_u, worst_d):.2e}"
-
-    def u11_check():
-        rng = np.random.default_rng(1)
-        worst = 0.0
-        bound_ok = True
-        for _ in range(draw_u11):
-            params = ModelParams.from_r(0.05 + 0.9 * rng.random())
-            M = int(rng.integers(1, 5))
-            z = np.exp(2j * np.pi * rng.random())
-            step = cocycle_step(z, LayerPhases.random(rng, M), params)
-            worst = max(worst, step.u11_defect() / max(1.0, step.norm() ** 2))
-            bound = (1.0 / params.rt) * (1.0 + params.r) * (1.0 + params.t)
-            bound_ok &= step.norm() <= bound * (1.0 + 1e-12)
-        return (worst <= 1e-12 and bound_ok), f"max normalized defect {worst:.2e}"
-
-    def pairing_check():
-        rng = np.random.default_rng(2)
-        params = ModelParams.from_r(0.62)
-        phases = sample_phase_field(11, 3, 2)
-        prop = propagate(np.exp(0.4j), phases, 3, params)
-        logs = np.sort(np.log(prop.singular_values()))[::-1]
-        defect = np.max(np.abs(logs + logs[::-1]))
-        return defect <= 1e-8, f"log-sv pairing defect {defect:.2e}"
-
-    def covariance_check():
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(40):
-            params = ModelParams.from_r(0.1 + 0.8 * rng.random())
-            M = int(rng.integers(1, 4))
-            z = (0.5 + 1.5 * rng.random()) * np.exp(2j * np.pi * rng.random())
-            w = np.exp(2j * np.pi * rng.random())
-            layer = LayerPhases.random(rng, M)
-            lhs = cocycle_step(w * z, layer, params).matrix
-            rhs = cocycle_step(z, layer.twisted(w), params).matrix
-            worst = max(worst, np.max(np.abs(lhs - rhs)))
-        return worst <= 1e-12, f"max entrywise covariance defect {worst:.2e}"
-
-    def wall_algebra_check():
-        rng = np.random.default_rng(4)
-        worst = 0.0
-        for _ in range(draw_wall):
-            z = (0.25 + 1.75 * rng.random()) * np.exp(2j * np.pi * rng.random())
-            ops = build_parity_operators(z, int(rng.integers(1, 5)))
-            worst = max(worst, ops.w_square_defect(), ops.v_inverse_defect())
-        return worst <= 1e-12, f"max algebra defect {worst:.2e}"
-
-    def unitarity_check():
-        worst = 0.0
-        for r in (0.0, 0.6, math.sqrt(0.5), 1.0):
-            params = ModelParams.from_r(r)
-            op = build_cylinder_operator(params, sample_phase_field(5, 2, 2), 2, 2)
-            worst = max(worst, op.unitarity_defect())
-        return worst <= 1e-12, f"max unitarity defect {worst:.2e}"
-
-    def extreme_check():
-        defect = 0.0
-        for r in (0.0, 1.0):
-            params = ModelParams.from_r(r)
-            op = build_cylinder_operator(params, sample_phase_field(6, 2, 2), 2, 2)
-            defect = max(defect, extreme_block_check(op))
-        return defect == 0.0, f"block leakage {defect!r}"
-
-    def det_identity_check():
-        params = ModelParams.from_r(0.6)
-        worst = 0.0
-        for seed in det_seeds:
-            phases = sample_phase_field(seed, 2, 2)
-            op = build_cylinder_operator(params, phases, 2, 2)
-            spectrum = eigendecompose(op, want_vectors=False)
-            zrng = np.random.default_rng(seed + 13)
-            done = 0
-            while done < det_z:
-                z = (0.5 + 1.5 * zrng.random()) * np.exp(2j * np.pi * zrng.random())
-                check = determinant_identity_residual(
-                    z, params, 2, 2, phases, spectrum=spectrum
-                )
-                if check.status != "ok":
-                    continue
-                worst = max(worst, check.rel_error)
-                done += 1
-        return worst <= 1e-8, f"max relative error {worst:.2e}"
-
-    def reconstruction_check():
-        params = ModelParams.from_r(0.6)
-        rng = np.random.default_rng(5)
-        worst = 0.0
-        phases = sample_phase_field(17, 5, 3)
-        for _ in range(recon_trials):
-            psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-            z = np.exp(2j * np.pi * rng.random())
-            worst = max(worst, reconstruct_and_verify(z, phases, psi0, 5, params))
-        return worst <= 1e-10, f"max residual {worst:.2e}"
-
-    def band_check():
-        params = ModelParams.from_r(0.6)
-        structure = band_grid(params, 64, 64)
-        edge_err = abs(structure.band_edge() - math.asin(min(1.0, 2 * params.rt)))
-        ok = structure.det_defect <= 1e-12 and edge_err <= 1e-9
-        return ok, f"det defect {structure.det_defect:.2e}, edge error {edge_err:.2e}"
-
-    def krylov_check():
-        params = ModelParams.from_r(0.6)
-        phases = sample_phase_field(23, 4, 2)
-        for n in range(0, 3 if quick else 4):
-            if krylov_rank(params, phases, n, 4) != 4 * (2 * n + 1):
-                return False, f"rank mismatch at n={n}"
-        return True, "ranks 2M(2n+1) exact"
-
-    def thouless_check():
-        params = ModelParams.from_r(0.6)
-        worst = 0.0
-        for z in (2.0, 0.5, 1.3 * np.exp(0.7j)):
-            theta = np.linspace(0.0, 2.0 * np.pi, 1 << 15, endpoint=False)
-            quadrature = float(np.mean(np.log(np.abs(z - np.exp(1j * theta)))))
-            closed = math.log(max(1.0, abs(z)))
-            predicted = 2 * quadrature + 0.5 * math.log(1 / params.rt) - math.log(abs(z))
-            worst = max(
-                worst,
-                abs(quadrature - closed),
-                abs(predicted - thouless_rhs(z, params)),
-            )
-        return worst <= 1e-9, f"max closed-form deviation {worst:.2e}"
-
-    def reduction_check():
-        from .model import NodePhaseField
-
-        nodes = sample_node_phases(31, 1, 2)
-        reduced = reduce_phases(nodes, 1, 2)
-        trivial = NodePhaseField(M=2, nodes={key: np.ones(6, complex) for key in nodes.nodes})
-        ones = np.max(np.abs(reduce_phases(trivial, 1, 2).values - 1.0)) <= 1e-14
-        unit = np.max(np.abs(np.abs(reduced.values) - 1.0)) <= 1e-14
-        return bool(ones and unit), "all-ones fixed point and unit moduli"
-
-    checks = [
-        ("scattering unitarity & det", scattering_check),
-        ("U(1,1) membership & norm bound", u11_check),
-        ("singular-value pairing", pairing_check),
-        ("spectral-parameter covariance", covariance_check),
-        ("wall-operator algebra", wall_algebra_check),
-        ("finite-operator unitarity", unitarity_check),
-        ("rt=0 block invariance", extreme_check),
-        ("determinant identity", det_identity_check),
-        ("transfer reconstruction", reconstruction_check),
-        ("band symbol det & edges", band_check),
-        ("cyclicity ranks", krylov_check),
-        ("log-potential closed form", thouless_check),
-        ("phase reduction", reduction_check),
-    ]
-    return checks
-
-
 def cmd_verify(args, parser) -> int:
     failures = 0
     started = time.perf_counter()
-    for name, check in _verify_checks(args.quick):
+    for name, check, quick_args, full_args in invariants.CHECKS:
         try:
-            ok, detail = check()
+            ok, detail = check(*(quick_args if args.quick else full_args))
         except Exception as exc:  # surface, then keep going
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -773,10 +587,7 @@ def _apply_config_file(parser, argv):
         flag = "--" + key.replace("_", "-")
         if flag in given or flag == "--config":
             continue
-        if val.lower() in ("true", "1") and key in ("quick",):
-            extra.append(flag)
-        else:
-            extra.extend([flag, val])
+        extra.extend([flag, val])
     # file values first: explicit flags appear later and win
     return extra + argv
 

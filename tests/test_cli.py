@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ccnet
-from ccnet import __version__
+from ccnet import __version__, invariants
 from ccnet.cli import main
 from ccnet.records import CSV_HEADER, ResultRecord, canonical_row, emit, read_records
 
@@ -90,10 +90,31 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     assert done.stdout.strip() == "False"
 
 
-def test_verify_quick_exits_clean(capsys):
-    assert main(["verify", "--quick"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--quick"]], ids=["full", "quick"])
+def test_verify_quick_exits_clean(capsys, argv):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("[PASS] ") for line in lines[:-1])
+    names = [line[len("[PASS] ") :].split(": ")[0] for line in lines[:-1]]
+    assert names == [name for name, *_ in invariants.CHECKS]
+    assert lines[-1].startswith("verify: 0 failure(s) in ")
+
+
+def test_verify_reports_failures_and_keeps_going(capsys, monkeypatch):
+    checks = [
+        ("fails", lambda: (False, "defect 1.00e+00"), (), ()),
+        ("raises", lambda: 1 / 0, (), ()),
+        ("after", lambda: (True, "fine"), (), ()),
+    ]
+    monkeypatch.setattr(invariants, "CHECKS", checks)
+    assert main(["verify", "--quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "[FAIL] fails: defect 1.00e+00",
+        "[FAIL] raises: raised ZeroDivisionError: division by zero",
+        "[PASS] after: fine",
+    ]
+    assert lines[3].startswith("verify: 2 failure(s) in ")
 
 
 def test_lyapunov_deterministic_data_sections(tmp_path):
@@ -166,6 +187,10 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     assert {row["M"] for row in rows} == {2}  # flag wins
     assert {row["seed"] for row in rows} == {9}  # file value survives
     assert {row["n_steps"] for row in rows} == {3000}
+    cfg.write_text("quick = true\n")
+    with pytest.raises(SystemExit) as exc:  # verify takes no --config
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2
 
 
 def test_det_check_command(tmp_path):
