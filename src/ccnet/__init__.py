@@ -17,7 +17,6 @@ from .model import (
     NodePhaseField,
     PhaseField,
     SiteIndex,
-    apply_operator,
     build_cylinder_operator,
     build_full_cylinder_operator,
     extreme_block_check,

@@ -127,17 +127,16 @@ def _lyapunov_cell(cell):
     return cell, result
 
 
-def _lyapunov_rows(cell, result, check_mean=True):
+def _lyapunov_rows(cell, result):
     r, M, z_pair, seed, n_steps = cell
     params = result.config.params
     xi = localization_length(result)
     on_circle = abs(z_pair[0] - 1.0) < 1e-12
     failures = []
-    if check_mean:
-        target = thouless_rhs(_z_value(*z_pair), params)
-        tol = max(0.01, 3.0 * result.mean_top_stderr())
-        if abs(result.mean_top() - target) > tol:
-            failures.append("mean-law")
+    target = thouless_rhs(_z_value(*z_pair), params)
+    tol = max(0.01, 3.0 * result.mean_top_stderr())
+    if abs(result.mean_top() - target) > tol:
+        failures.append("mean-law")
     # the Lorentz pairing of exponents holds on the unit circle only
     if on_circle and np.any(
         result.symmetry_defects() > 3.0 * result.symmetry_sigmas() + 1e-12
@@ -180,76 +179,41 @@ def _lyapunov_rows(cell, result, check_mean=True):
     return rows, failures
 
 
-def cmd_lyapunov(args, parser) -> int:
+def _lyapunov_results(args, parser, zs):
+    """Run the sorted (r, M, z, seed) cells; returns the r grid and (cell, result) pairs."""
     rs = args.r if args.r else DEFAULT_R_GRID
     for r in rs:
         _params_from_r(parser, r)
-    cells = [
-        (r, M, z, seed, args.steps)
-        for r in rs
-        for M in args.M
-        for z in args.z
-        for seed in args.seeds
-    ]
-    cells.sort()
+    cells = sorted(
+        (r, M, z, seed, args.steps) for r in rs for M in args.M for z in zs for seed in args.seeds
+    )
+    return rs, _parallel(_lyapunov_cell, cells, args.workers)
+
+
+def cmd_lyapunov(args, parser) -> int:
     started = time.perf_counter()
-    results = _parallel(_lyapunov_cell, cells, args.workers)
+    rs, results = _lyapunov_results(args, parser, args.z)
     all_rows, any_fail = [], False
     for cell, result in results:
         rows, failures = _lyapunov_rows(cell, result)
         all_rows.extend(rows)
         any_fail |= bool(failures)
-    record = ResultRecord(
-        command="lyapunov",
-        config=_config_echo(args, r=rs, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps),
-        rows=all_rows,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write(args, [record])
+    _record(args, all_rows, started, r=rs, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps)
     return 1 if any_fail else 0
 
 
 def cmd_xi_scaling(args, parser) -> int:
-    rs = args.r if args.r else DEFAULT_R_GRID
-    for r in rs:
-        _params_from_r(parser, r)
-    cells = [
-        (r, M, (1.0, 0.0), seed, args.steps)
-        for r in rs
-        for M in args.M
-        for seed in args.seeds
-    ]
-    cells.sort()
+    """The k = M rows of ``lyapunov`` at z = 1, with a status from xi alone."""
     started = time.perf_counter()
-    results = _parallel(_lyapunov_cell, cells, args.workers)
-    rows = []
+    rs, results = _lyapunov_results(args, parser, [(1.0, 0.0)])
+    view = []
     for cell, result in results:
-        r, M, z_pair, seed, n_steps = cell
+        rows, _ = _lyapunov_rows(cell, result)
         xi = localization_length(result)
-        rows.append(
-            canonical_row(
-                command="xi-scaling",
-                r=result.config.params.r,
-                t=result.config.params.t,
-                M=M,
-                z_mod=1.0,
-                z_arg_over_pi=0.0,
-                seed=seed,
-                n_steps=n_steps,
-                k=M,
-                lambda_k=float(result.exponents[M - 1]),
-                stderr_k=float(result.stderrs[M - 1]),
-                xi_M=xi.value,
-                status="ok" if xi.status == "ok" else "xi " + xi.status,
-            )
-        )
-    record = ResultRecord(
-        command="xi-scaling",
-        config=_config_echo(args, r=rs, M=args.M, seeds=args.seeds, steps=args.steps),
-        rows=rows,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write(args, [record])
+        status = "ok" if xi.status == "ok" else "xi " + xi.status
+        # rows[k] carries exponent k; xi_M sits on row k = M
+        view.append(dict(rows[cell[1]], command="xi-scaling", status=status))
+    _record(args, view, started, r=rs, M=args.M, seeds=args.seeds, steps=args.steps)
     return 0
 
 
@@ -258,9 +222,10 @@ def cmd_xi_scaling(args, parser) -> int:
 
 
 def cmd_dos(args, parser) -> int:
-    params = _params_from_r(parser, args.r[0] if args.r else DEFAULT_R_GRID[2])
+    params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
+    M = _one(parser, args, "M")
     started = time.perf_counter()
-    hist = dos_moments(params, args.M[0], args.L, args.seeds, K=args.moments, bins=args.bins)
+    hist = dos_moments(params, M, args.L, args.seeds, K=args.moments, bins=args.bins)
     rows = []
     ok = True
     for k in range(args.moments):
@@ -272,7 +237,7 @@ def cmd_dos(args, parser) -> int:
                 command="dos",
                 r=params.r,
                 t=params.t,
-                M=args.M[0],
+                M=M,
                 L=args.L,
                 n_steps=hist.samples,
                 k=k + 1,
@@ -288,7 +253,7 @@ def cmd_dos(args, parser) -> int:
             command="dos",
             r=params.r,
             t=params.t,
-            M=args.M[0],
+            M=M,
             L=args.L,
             n_steps=hist.samples,
             k=0,
@@ -297,15 +262,9 @@ def cmd_dos(args, parser) -> int:
             status="ks ok" if ks_pass else "ks FAIL",
         )
     )
-    record = ResultRecord(
-        command="dos",
-        config=_config_echo(
-            args, r=[params.r], M=args.M, L=args.L, seeds=args.seeds, moments=args.moments
-        ),
-        rows=rows,
-        wall_clock_s=time.perf_counter() - started,
+    _record(
+        args, rows, started, r=[params.r], M=[M], L=args.L, seeds=args.seeds, moments=args.moments
     )
-    _write(args, [record])
     if args.hist_out:
         with open(args.hist_out, "w") as fh:
             fh.write("bin_lo,bin_hi,count\n")
@@ -315,8 +274,8 @@ def cmd_dos(args, parser) -> int:
 
 
 def cmd_det_check(args, parser) -> int:
-    params = _params_from_r(parser, args.r[0] if args.r else 0.6)
-    M, L = args.M[0], args.L
+    params = _params_from_r(parser, _one(parser, args, "r", 0.6))
+    M, L = _one(parser, args, "M"), args.L
     started = time.perf_counter()
     rows = []
     worst = 0.0
@@ -352,21 +311,12 @@ def cmd_det_check(args, parser) -> int:
                     else ("ok" if check.rel_error <= args.tol else "FAIL"),
                 )
             )
-    record = ResultRecord(
-        command="det-check",
-        config=_config_echo(
-            args, r=[params.r], M=[M], L=L, seeds=args.seeds, z_count=args.z_count
-        ),
-        rows=rows,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write(args, [record])
+    _record(args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds, z_count=args.z_count)
     return 0 if worst <= args.tol else 1
 
 
 def cmd_bands(args, parser) -> int:
-    r = args.r[0] if args.r else DEFAULT_R_GRID[2]
-    params = _params_from_r(parser, r)
+    params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
     started = time.perf_counter()
     structure = band_grid(params, args.nx, args.ny)
     edge = structure.band_edge()
@@ -390,13 +340,7 @@ def cmd_bands(args, parser) -> int:
             status="band edge (stderr column = |edge - arcsin(2rt)|)",
         ),
     ]
-    record = ResultRecord(
-        command="bands",
-        config=_config_echo(args, r=[params.r], nx=args.nx, ny=args.ny),
-        rows=rows,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write(args, [record])
+    _record(args, rows, started, r=[params.r], nx=args.nx, ny=args.ny)
     if args.table_out:
         with open(args.table_out, "w") as fh:
             fh.write("x,y,theta_lower,theta_upper\n")
@@ -408,8 +352,8 @@ def cmd_bands(args, parser) -> int:
 
 
 def cmd_decay(args, parser) -> int:
-    params = _params_from_r(parser, args.r[0] if args.r else 0.95)
-    M, L = args.M[0], args.L
+    params = _params_from_r(parser, _one(parser, args, "r", 0.95))
+    M, L = _one(parser, args, "M"), args.L
     started = time.perf_counter()
     rows = []
     for seed in args.seeds:
@@ -432,19 +376,13 @@ def cmd_decay(args, parser) -> int:
                     status=fit.status,
                 )
             )
-    record = ResultRecord(
-        command="decay",
-        config=_config_echo(args, r=[params.r], M=[M], L=L, seeds=args.seeds),
-        rows=rows,
-        wall_clock_s=time.perf_counter() - started,
-    )
-    _write(args, [record])
+    _record(args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds)
     return 0
 
 
 def cmd_dump(args, parser) -> int:
-    params = _params_from_r(parser, args.r[0] if args.r else DEFAULT_R_GRID[2])
-    M, L, seed = args.M[0], args.L, args.seeds[0]
+    params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
+    M, L, seed = _one(parser, args, "M"), args.L, _one(parser, args, "seeds")
     phases = sample_phase_field(seed, L, M)
     out = args.out or f"ccnet-{args.what}.csv"
     if args.what == "operator":
@@ -484,44 +422,55 @@ def cmd_verify(args, parser) -> int:
 # plumbing
 
 
-def _config_echo(args, **extra) -> dict:
-    echo = {"format": args.format, "out": str(args.out) if args.out else None}
-    echo.update({k: v for k, v in extra.items()})
-    # tuples are not JSON round-trippable; normalize
+def _one(parser, args, name, default=None):
+    """The single value of list flag ``--name`` (``default`` when omitted)."""
+    values = getattr(args, name)
+    if not values:
+        return default
+    if len(values) > 1:
+        parser.error(f"{args.command} takes one --{name} value, got {len(values)}")
+    return values[0]
+
+
+def _record(args, rows, started, **config) -> None:
+    """Emit one record of ``rows`` for ``args.command``, with its config echo.
+
+    Written to ``--out`` in ``--format``, or printed as a stdout summary.
+    """
+    echo = {"format": args.format, "out": str(args.out) if args.out else None, **config}
+    # tuples (the z pairs) are not JSON round-trippable; normalize
     for key, val in echo.items():
-        if isinstance(val, tuple):
-            echo[key] = list(val)
         if isinstance(val, list):
             echo[key] = [list(v) if isinstance(v, tuple) else v for v in val]
-    return echo
-
-
-def _write(args, records) -> None:
+    record = ResultRecord(
+        command=args.command,
+        config=echo,
+        rows=rows,
+        wall_clock_s=time.perf_counter() - started,
+    )
     if args.out:
-        emit(records, args.format, args.out)
-        print(f"wrote {len(records)} record(s) to {args.out}")
+        emit([record], args.format, args.out)
+        print(f"wrote 1 record(s) to {args.out}")
     else:
-        for record in records:
-            for row in record.rows:
-                print({k: v for k, v in row.items() if v is not None})
+        for row in rows:
+            print({k: v for k, v in row.items() if v is not None})
 
 
-def _add_common(sub, with_model=True):
+def _add_common(sub):
     sub.add_argument("--config", help="flat key=value config file; flags win")
     sub.add_argument("--out", help="output path (stdout summary if omitted)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
     sub.add_argument("--workers", type=int, default=None, help="parallel cells (env CCNET_WORKERS)")
-    if with_model:
-        sub.add_argument("--r", type=_parse_floats, default=None, help="comma list of r values")
-        sub.add_argument("--M", type=_parse_ints, default=[2], help="comma list of strip half-widths")
-        sub.add_argument("--L", type=int, default=2, help="window half-length parameter")
-        sub.add_argument(
-            "--seeds",
-            "--seed",
-            type=_parse_ints,
-            default=[1],
-            help="comma list of seeds (non-empty)",
-        )
+    sub.add_argument("--r", type=_parse_floats, default=None, help="comma list of r values")
+    sub.add_argument("--M", type=_parse_ints, default=[2], help="comma list of strip half-widths")
+    sub.add_argument("--L", type=int, default=2, help="window half-length parameter")
+    sub.add_argument(
+        "--seeds",
+        "--seed",
+        type=_parse_ints,
+        default=[1],
+        help="comma list of seeds (non-empty)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

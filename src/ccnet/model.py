@@ -33,7 +33,6 @@ __all__ = [
     "reduce_phases",
     "build_cylinder_operator",
     "build_full_cylinder_operator",
-    "apply_operator",
     "extreme_block_check",
 ]
 
@@ -93,9 +92,6 @@ class SiteIndex:
     @property
     def parity(self) -> int:
         return (self.column + self.ring) % 2
-
-    def reduced(self, M: int) -> "SiteIndex":
-        return SiteIndex(self.column, self.ring % (2 * M))
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +153,6 @@ class PhaseField:
         if np.max(np.abs(np.abs(self.values) - 1.0)) > 1e-14:
             raise ValueError("phase field entries must be unit modulus")
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.L, self.M)
-
     def covers_columns(self, lo: int, hi: int) -> bool:
         return -2 * self.L <= lo and hi <= 2 * self.L
 
@@ -168,9 +160,6 @@ class PhaseField:
         if not self.covers_columns(column, column):
             raise ValueError(f"column {column} outside window [-{2*self.L}, {2*self.L}]")
         return complex(self.values[column + 2 * self.L, ring % (2 * self.M)])
-
-    def at(self, site: SiteIndex) -> complex:
-        return self.phase(site.column, site.ring)
 
     def column_phases(self, column: int) -> np.ndarray:
         """Ring vector of phases at one column."""
@@ -411,14 +400,6 @@ def build_full_cylinder_operator(
     ]
     even, odd = np.asarray(blocks, dtype=complex).reshape(2, 2 * L, M, 2, 2)
     return _assemble(params, L, M, even, odd)
-
-
-def apply_operator(op: FiniteOperator, v: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product U^D v."""
-    v = np.asarray(v)
-    if v.shape[0] != op.dim:
-        raise ValueError(f"vector length {v.shape[0]} != operator dimension {op.dim}")
-    return op.matrix @ v
 
 
 def _invariant_quadruples(op: FiniteOperator):

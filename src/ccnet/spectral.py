@@ -254,7 +254,7 @@ def dos_moments(
 
 @dataclass(frozen=True)
 class ParityOperators:
-    """Ring-parity projections and the wall operators at parameter z.
+    """The ring-pair swap K and the wall operators at parameter z.
 
     K swaps each pair (2k, 2k+1); W_z maps the even subspace onto the left
     wall space F_z = {psi_{2k+1} = z psi_{2k+2}} and V_z the even subspace
@@ -264,8 +264,6 @@ class ParityOperators:
     """
 
     z: complex
-    q_even: np.ndarray
-    q_odd: np.ndarray
     k_swap: np.ndarray
     v: np.ndarray
     w: np.ndarray
@@ -292,8 +290,6 @@ def build_parity_operators(z: complex, M: int) -> ParityOperators:
     w = np.zeros((two_m, two_m), dtype=complex)
     v = np.zeros((two_m, two_m), dtype=complex)
     k_swap = np.zeros((two_m, two_m))
-    q_even = np.zeros((two_m, two_m))
-    q_odd = np.zeros((two_m, two_m))
     for k in range(M):
         a, b = 2 * k + 1, (2 * k + 2) % two_m
         w[a, b] = z * s
@@ -306,9 +302,7 @@ def build_parity_operators(z: complex, M: int) -> ParityOperators:
         v[2 * k + 1, 2 * k + 1] = s / z
         k_swap[2 * k, 2 * k + 1] = 1.0
         k_swap[2 * k + 1, 2 * k] = 1.0
-        q_even[2 * k, 2 * k] = 1.0
-        q_odd[2 * k + 1, 2 * k + 1] = 1.0
-    return ParityOperators(z=z, q_even=q_even, q_odd=q_odd, k_swap=k_swap, v=v, w=w)
+    return ParityOperators(z=z, k_swap=k_swap, v=v, w=w)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, PhaseField
+from .model import ModelParams, PhaseField, build_cylinder_operator
 
 __all__ = [
     "LayerPhases",
@@ -245,13 +245,11 @@ def reconstruct_columns(
 ) -> np.ndarray:
     """Grow a generalized eigenvector column by column from its ring vector at column 0.
 
-    Returns the (2N+1, 2M) array of ring vectors on columns 0 .. 2N, built by
-    the alternating two-site recursions (reduced disorder: the even step
-    carries phases of columns 2j+1 even / 2j odd, the odd step those of
-    columns 2j+2 even / 2j+1 odd).
+    Returns the (2N+1, 2M) array of ring vectors on columns 0 .. 2N.  Column
+    2j+2 is the cocycle step of layer j applied to column 2j; column 2j+1 is
+    the inner half-step M1(z) D(p_r) psi_2j with the even-ring slots of p_m
+    (the column 2j+1 site phases) applied.
     """
-    z = _check_z(z)
-    params.require_transport()
     if N < 0:
         raise ValueError("need N >= 0")
     if not phases.covers_columns(0, 2 * N):
@@ -260,28 +258,15 @@ def reconstruct_columns(
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (2 * M,):
         raise ValueError(f"psi0 must have shape ({2*M},)")
+    m1, m2 = layer_matrices(z, M, params)
+    p_r, p_m, p_l = _split_slots(_slot_layers(phases, 0, N))
     psi = np.empty((2 * N + 1, 2 * M), dtype=complex)
     psi[0] = psi0
-    r, t = params.r, params.t
-    for c in range(0, 2 * N):
-        x = psi[c]
-        if c % 2 == 0:
-            # even -> odd on ring pairs (2k, 2k+1)
-            a = phases.column_phases(c + 1)[0::2]
-            b = phases.column_phases(c)[1::2]
-            xe, xo = x[0::2], np.conj(b) * x[1::2]
-            psi[c + 1, 0::2] = a * (xe / z - r * xo) / t
-            psi[c + 1, 1::2] = (-r * xe + z * xo) / t
-        else:
-            # odd -> even on the shifted pairs (2k+1, 2k+2)
-            cp = np.roll(phases.column_phases(c + 1)[0::2], -1)  # rings 2k+2
-            d = phases.column_phases(c)[1::2]
-            x1 = np.conj(d) * x[1::2]
-            x2 = np.roll(x[0::2], -1)  # rings 2k+2
-            out1 = (z * x1 - t * x2) / r
-            out2 = cp * (t * x1 - x2 / z) / r
-            psi[c + 1, 1::2] = out1
-            psi[c + 1, 0::2] = np.roll(out2, 1)
+    for j in range(N):
+        psi[2 * j + 2] = _apply_layer(m1, m2, p_r[j], p_m[j], p_l[j], psi[2 * j][:, None])[:, 0]
+    half = (p_r * psi[0:-1:2]) @ m1.T
+    half[:, 0::2] *= p_m[:, 0::2]
+    psi[1::2] = half
     return psi
 
 
@@ -290,30 +275,21 @@ def reconstruct_and_verify(
 ) -> float:
     """Residual of the eigenvalue equation on the reconstructed window.
 
-    Grows psi from its column-0 ring vector via transfer blocks, then checks
-    every interior node row of (U psi - z psi) on columns 0 .. 2N.  Returns
-    the largest row residual divided by the window norm of psi; zero input
-    gives zero.
+    Grows psi from its column-0 ring vector with ``reconstruct_columns``,
+    places it on columns 0 .. 2N of the assembled U^D over the whole phase
+    window, and takes |U psi - z psi| on the rows fed only by those columns:
+    the odd rings of columns 0 .. 2N-1 and the even rings of columns 1 .. 2N.
+    Returns the largest such entry divided by the window norm of psi; zero
+    input gives zero.
     """
     psi = reconstruct_columns(z, phases, psi0, N, params)
     norm = float(np.linalg.norm(psi))
     if norm == 0.0:
         return 0.0
-    r, t = params.r, params.t
-    worst = 0.0
-    for c in range(0, 2 * N):
-        if c % 2 == 0:
-            a = phases.column_phases(c + 1)[0::2]
-            b = phases.column_phases(c)[1::2]
-            in0, in1 = psi[c, 0::2], psi[c + 1, 1::2]
-            res0 = a * (t * in0 - r * in1) - z * psi[c + 1, 0::2]
-            res1 = b * (r * in0 + t * in1) - z * psi[c, 1::2]
-        else:
-            cp = np.roll(phases.column_phases(c + 1)[0::2], -1)
-            d = phases.column_phases(c)[1::2]
-            in0 = psi[c + 1, 1::2]               # sites (c+1, 2k+1)
-            in1 = np.roll(psi[c, 0::2], -1)      # sites (c, 2k+2)
-            res0 = cp * (t * in0 - r * in1) - z * np.roll(psi[c + 1, 0::2], -1)
-            res1 = d * (r * in0 + t * in1) - z * psi[c, 1::2]
-        worst = max(worst, float(np.max(np.abs(res0))), float(np.max(np.abs(res1))))
-    return worst / norm
+    L, two_m = phases.L, 2 * phases.M
+    op = build_cylinder_operator(params, phases, L, phases.M)
+    vec = np.zeros((4 * L + 1, two_m), dtype=complex)
+    vec[2 * L : 2 * L + 2 * N + 1] = psi
+    resid = (op.matrix @ vec.ravel() - z * vec.ravel()).reshape(vec.shape)[2 * L :]
+    rows = np.concatenate([resid[0 : 2 * N, 1::2].ravel(), resid[1 : 2 * N + 1, 0::2].ravel()])
+    return float(np.max(np.abs(rows), initial=0.0)) / norm

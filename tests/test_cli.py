@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -178,6 +179,33 @@ def test_seeds_must_be_nonempty():
         main(["lyapunov", "--r", "0.6", "--M", "1", "--steps", "1000", "--seeds", ""])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dos", "--M", "1,2"],
+        ["dos", "--r", "0.6,0.7"],
+        ["det-check", "--M", "1,2"],
+        ["det-check", "--r", "0.6,0.7"],
+        ["decay", "--M", "1,2"],
+        ["decay", "--r", "0.6,0.7"],
+        ["bands", "--r", "0.6,0.7"],
+        ["dump", "--M", "1,2"],
+        ["dump", "--r", "0.6,0.7"],
+        ["dump", "--seeds", "1,2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
+    # these commands read one r, M (and, for dump, seed); a second value used
+    # to be dropped without a word
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    flag = argv[1]
+    assert f"takes one {flag} value" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep defaults\nr = 0.6\nsteps = 3000\nseeds = 9\nM = 1\n")
@@ -319,6 +347,39 @@ def test_xi_scaling_command(tmp_path):
     record = read_records(out, "json")[0]
     assert [row["M"] for row in record.rows] == [1, 2]
     assert all(row["k"] == row["M"] for row in record.rows)
+
+
+def test_xi_scaling_is_the_lyapunov_k_equals_m_row(tmp_path):
+    sweep = ["--r", "0.6,0.8", "--M", "1,2", "--steps", "2000", "--seeds", "1,2"]
+    ly, xi = tmp_path / "ly.csv", tmp_path / "xi.csv"
+    main(["lyapunov", *sweep, "--out", str(ly)])
+    assert main(["xi-scaling", *sweep, "--out", str(xi)]) == 0
+    expected = [
+        row
+        for row in read_records(ly, "csv")
+        if row["k"] == row["M"] and (row["z_mod"], row["z_arg_over_pi"]) == (1.0, 0.0)
+    ]
+    got = read_records(xi, "csv")
+    assert len(got) == len(expected) == 8
+    rest = set(CSV_HEADER) - {"command", "status"}
+    for a, b in zip(got, expected):
+        assert a["command"] == "xi-scaling" and b["command"] == "lyapunov"
+        assert a["status"] == "ok" or a["status"].startswith("xi ")
+        assert {c: a[c] for c in rest} == {c: b[c] for c in rest}
+
+
+def test_package_exports_are_the_layer_all_lists():
+    # ``ccnet`` re-exports exactly the public names of its layers, so an
+    # export removed from a layer cannot linger at the package level
+    from ccnet import lyapunov, model, records, spectral, transfer
+
+    layers = (model, transfer, lyapunov, spectral, records)
+    exported = {
+        name
+        for name, value in vars(ccnet).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exported == set().union(*(module.__all__ for module in layers))
 
 
 def test_dump_operator_round_trip(tmp_path):

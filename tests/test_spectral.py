@@ -156,7 +156,6 @@ def test_wall_algebra_random_z(rng):
         assert ops.w_square_defect() <= 1e-12
         assert ops.v_inverse_defect() <= 1e-12
         assert np.array_equal(ops.k_swap @ ops.k_swap, np.eye(ops.k_swap.shape[0]))
-        assert np.array_equal(ops.q_even + ops.q_odd, np.eye(ops.q_even.shape[0]))
 
 
 def test_wall_w_maps_even_into_left_wall_space():

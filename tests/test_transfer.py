@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ccnet import invariants, model, transfer
 from ccnet import (
     LayerPhases,
     ModelParams,
@@ -219,6 +220,33 @@ def test_reconstruct_residual_small(rng, lopsided):
         psi0 = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         z = np.exp(2j * np.pi * rng.random())
         assert reconstruct_and_verify(z, phases, psi0, 5, lopsided) <= 1e-10
+
+
+def _conj_middle_phases(apply_layer):
+    return lambda m1, m2, p_r, p_m, p_l, frame: apply_layer(m1, m2, p_r, np.conj(p_m), p_l, frame)
+
+
+def _conj_even_outputs(reduced_blocks):
+    return lambda q0, q1, params: reduced_blocks(np.conj(q0), q1, params)
+
+
+@pytest.mark.parametrize(
+    "module, name, sabotage",
+    [
+        (transfer, "_apply_layer", _conj_middle_phases),
+        (model, "_reduced_blocks", _conj_even_outputs),
+    ],
+    ids=["kernel", "assembler"],
+)
+def test_reconstruction_invariant_catches_broken_kernel_or_assembler(
+    monkeypatch, module, name, sabotage
+):
+    # the invariant ties the production cocycle kernel to the production U^D
+    # assembler, so a wrong operand in either one must fail it
+    assert invariants.transfer_reconstruction(10, 5, 17)[0]
+    monkeypatch.setattr(module, name, sabotage(getattr(module, name)))
+    ok, detail = invariants.transfer_reconstruction(10, 5, 17)
+    assert not ok, detail
 
 
 def test_reconstruct_matches_propagator(rng, lopsided):
