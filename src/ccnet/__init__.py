@@ -44,6 +44,7 @@ from .lyapunov import (
     ZIndependenceReport,
     exponent_lower_bounds,
     localization_length,
+    lyapunov_spectra,
     lyapunov_spectrum,
     thouless_rhs,
     xi_upper_bound,

@@ -33,8 +33,9 @@ from .model import ModelParams, build_cylinder_operator, sample_phase_field
 from .lyapunov import (
     CocycleRunConfig,
     localization_length,
-    lyapunov_spectrum,
+    lyapunov_spectra,
     thouless_rhs,
+    xi_upper_bound,
 )
 from .records import ResultRecord, canonical_row, emit
 from .spectral import (
@@ -118,13 +119,15 @@ def _parallel(fn, cells, workers: int):
 # lyapunov / xi-scaling
 
 
-def _lyapunov_cell(cell):
-    r, M, z_pair, seed, n_steps = cell
-    params = ModelParams.from_r(r)
-    z = _z_value(*z_pair)
-    config = CocycleRunConfig(params=params, M=M, n_steps=n_steps, seed=seed, z=z)
-    result = lyapunov_spectrum(config)
-    return cell, result
+def _lyapunov_group(cells):
+    """Run cells of equal (M, n_steps) as one lockstep batch; returns (cell, result) pairs."""
+    configs = [
+        CocycleRunConfig(
+            params=ModelParams.from_r(r), M=M, n_steps=n_steps, seed=seed, z=_z_value(*z_pair)
+        )
+        for r, M, z_pair, seed, n_steps in cells
+    ]
+    return list(zip(cells, lyapunov_spectra(configs)))
 
 
 def _lyapunov_rows(cell, result):
@@ -180,14 +183,24 @@ def _lyapunov_rows(cell, result):
 
 
 def _lyapunov_results(args, parser, zs):
-    """Run the sorted (r, M, z, seed) cells; returns the r grid and (cell, result) pairs."""
+    """Run the sorted (r, M, z, seed) cells, one lockstep batch per (M, steps).
+
+    Returns the r grid and the (cell, result) pairs in sorted cell order.
+    """
     rs = args.r if args.r else DEFAULT_R_GRID
     for r in rs:
         _params_from_r(parser, r)
     cells = sorted(
         (r, M, z, seed, args.steps) for r in rs for M in args.M for z in zs for seed in args.seeds
     )
-    return rs, _parallel(_lyapunov_cell, cells, args.workers)
+    groups = {}
+    for cell in cells:
+        groups.setdefault((cell[1], cell[4]), []).append(cell)
+    results = dict(
+        pair for done in _parallel(_lyapunov_group, list(groups.values()), args.workers)
+        for pair in done
+    )
+    return rs, [(cell, results[cell]) for cell in cells]
 
 
 def cmd_lyapunov(args, parser) -> int:
@@ -203,7 +216,10 @@ def cmd_lyapunov(args, parser) -> int:
 
 
 def cmd_xi_scaling(args, parser) -> int:
-    """The k = M rows of ``lyapunov`` at z = 1, with a status from xi alone."""
+    """The k = M rows of ``lyapunov`` at z = 1, with a status from xi alone.
+
+    The config echo adds the crude xi upper bound per (r, M).
+    """
     started = time.perf_counter()
     rs, results = _lyapunov_results(args, parser, [(1.0, 0.0)])
     view = []
@@ -213,7 +229,11 @@ def cmd_xi_scaling(args, parser) -> int:
         status = "ok" if xi.status == "ok" else "xi " + xi.status
         # rows[k] carries exponent k; xi_M sits on row k = M
         view.append(dict(rows[cell[1]], command="xi-scaling", status=status))
-    _record(args, view, started, r=rs, M=args.M, seeds=args.seeds, steps=args.steps)
+    bounds = [[r, M, xi_upper_bound(ModelParams.from_r(r), M)] for r in rs for M in args.M]
+    _record(
+        args, view, started, r=rs, M=args.M, seeds=args.seeds, steps=args.steps,
+        xi_upper_bound=bounds,
+    )
     return 0
 
 

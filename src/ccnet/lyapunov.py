@@ -29,6 +29,7 @@ __all__ = [
     "LyapunovResult",
     "LocalizationLength",
     "ZIndependenceReport",
+    "lyapunov_spectra",
     "lyapunov_spectrum",
     "localization_length",
     "thouless_rhs",
@@ -38,18 +39,30 @@ __all__ = [
 ]
 
 _NORM_GUARD = 1e100  # early-orthonormalization threshold on column entries
+_COND_CAP = 1e8  # largest frame condition number a derived period allows
+# chain-steps of phases drawn per chunk, shared by the chains of a batch so
+# that the phase arrays stay small however many chains step together
+_CHUNK_CHAIN_STEPS = 512
 
 
 @dataclass(frozen=True)
 class CocycleRunConfig:
-    """Everything needed to reproduce one spectrum estimate."""
+    """Everything needed to reproduce one spectrum estimate.
+
+    ``reorth_period`` is the number of cocycle steps between
+    orthonormalizations.  ``None`` derives it from the exact per-step
+    condition bound: the largest p with kappa_step^p <= 1e8, clamped to
+    [1, n_steps // batch_count] (see ``effective_reorth_period``).  A frame
+    entry above the overflow guard forces an early orthonormalization
+    whatever the period.
+    """
 
     params: ModelParams
     M: int
     n_steps: int
     seed: int
     z: complex = 1.0 + 0.0j
-    reorth_period: int = 1
+    reorth_period: int | None = None
     burn_in: int | None = None  # default: 1% of n_steps
     batch_count: int = 20
 
@@ -63,16 +76,25 @@ class CocycleRunConfig:
             raise ValueError("need batch_count >= 2")
         if self.n_steps < self.batch_count:
             raise ValueError("need n_steps >= batch_count")
-        if self.reorth_period < 1:
-            raise ValueError("need reorth_period >= 1")
-        if self.n_steps < self.batch_count * self.reorth_period:
-            raise ValueError("need n_steps >= batch_count * reorth_period")
+        if self.reorth_period is not None:
+            if self.reorth_period < 1:
+                raise ValueError("need reorth_period >= 1")
+            if self.n_steps < self.batch_count * self.reorth_period:
+                raise ValueError("need n_steps >= batch_count * reorth_period")
 
     @property
     def effective_burn_in(self) -> int:
         if self.burn_in is not None:
             return self.burn_in
         return max(1, self.n_steps // 100)
+
+    @property
+    def effective_reorth_period(self) -> int:
+        if self.reorth_period is not None:
+            return self.reorth_period
+        kappa, _ = _step_bounds(self.z, self.params)
+        period = math.floor(math.log(_COND_CAP) / math.log(kappa))
+        return min(max(1, period), self.n_steps // self.batch_count)
 
 
 @dataclass(frozen=True)
@@ -118,82 +140,137 @@ class LyapunovResult:
         return np.std(diffs, axis=0, ddof=1) / math.sqrt(diffs.shape[0])
 
 
-def _qr_positive(frame: np.ndarray):
-    """QR with positive real diagonal in the triangular factor."""
-    q, r = np.linalg.qr(frame)
-    d = np.diagonal(r).copy()
+def _step_bounds(z: complex, params: ModelParams) -> tuple[float, float]:
+    """Exact (condition number, 2-norm) bounds of one cocycle step A_z(p).
+
+    The phase diagonals are unitary, and M1, M2 are (up to a ring
+    permutation) block diagonal with M copies of one 2x2 block each, so the
+    M = 1 layer matrices carry every singular value: kappa(A) <= kappa(M1)
+    kappa(M2) and ||A|| <= ||M1|| ||M2|| for every M and every draw.  On the
+    circle kappa_step = (1+r)(1+t) / ((1-r)(1-t)).
+    """
+    m1, m2 = layer_matrices(z, 1, params)
+    s1 = np.linalg.svd(m1, compute_uv=False)
+    s2 = np.linalg.svd(m2, compute_uv=False)
+    return float(s1[0] / s1[-1] * (s2[0] / s2[-1])), float(s1[0] * s2[0])
+
+
+def _qr_positive(frames: np.ndarray):
+    """QR with positive real diagonal in the triangular factor, over leading batch axes."""
+    q, r = np.linalg.qr(frames)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     absd = np.abs(d)
     absd[absd == 0.0] = 1.0  # cannot occur for invertible cocycles; keeps log finite
-    q = q * (d / absd)[None, :]
+    q = q * (d / absd)[..., None, :]
     return q, np.log(absd)
 
 
 def lyapunov_spectrum(config: CocycleRunConfig) -> LyapunovResult:
     """Estimate the full 2M Lyapunov spectrum of the cocycle at config.z.
 
-    Phases are drawn i.i.d. uniform per layer from a seeded generator; the
-    frame is re-orthonormalized every ``reorth_period`` steps (or early if a
-    column entry exceeds the overflow guard).  After the burn-in, log
+    A batch of one chain through ``lyapunov_spectra``.
+    """
+    return lyapunov_spectra([config])[0]
+
+
+def lyapunov_spectra(configs) -> list[LyapunovResult]:
+    """Estimate the spectra of several chains, stepped in lockstep as one stack.
+
+    Every config must share M, n_steps, the burn-in and batch_count; r, t,
+    z, seed and the period are per chain.  Phases are drawn i.i.d. uniform
+    per layer from each chain's own seeded generator; each frame is
+    re-orthonormalized every ``effective_reorth_period`` steps of its own
+    (or early if a column entry exceeds the overflow guard), with one
+    stacked QR over the chains that are due.  After the burn-in, log
     diagonals are accumulated into ``batch_count`` contiguous batches; the
     estimate is total / (2 * n_steps) per exponent and the standard error is
     the batch-means spread.  Exponents are returned sorted descending
-    together with the matching stderr permutation.
+    together with the matching stderr permutation, one result per config in
+    order.  Each result is bitwise the one its chain gives alone: no chain
+    reads another's draws, frame or sums.
     """
-    M = config.M
-    two_m = 2 * M
-    rng = np.random.default_rng(config.seed)
-    m1, m2 = layer_matrices(config.z, M, config.params)
-    frame = np.eye(two_m, dtype=complex)
-
-    n = config.n_steps
-    burn = config.effective_burn_in
-    nb = config.batch_count
-    period = config.reorth_period
-    batch_sums = np.zeros((nb, two_m))
-    batch_cols = np.zeros(nb)  # column count (2 per step) accumulated per batch
-    total = np.zeros(two_m)
-
-    chunk = 1024
-    pending = 0  # steps since last orthonormalization
+    configs = list(configs)
+    if not configs:
+        return []
+    shape = {(c.M, c.n_steps, c.effective_burn_in, c.batch_count) for c in configs}
+    if len(shape) > 1:
+        raise ValueError("chains in one batch need equal M, n_steps, burn-in and batch_count")
+    ((M, n, burn, nb),) = shape
+    B, two_m = len(configs), 2 * M
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    layers = [layer_matrices(c.z, M, c.params) for c in configs]
+    m1 = np.stack([a for a, _ in layers])
+    m2 = np.stack([b for _, b in layers])
+    periods = np.array([c.effective_reorth_period for c in configs])
+    # a frame leaves each QR orthonormal and grows by at most ||A_z||_2 per
+    # step, so the guard can fire only where ||A_z||^period comes near it
+    # (within its square root); the other chains skip the per-step check
+    watched = np.flatnonzero(
+        [
+            p > 1 and p * math.log(_step_bounds(c.z, c.params)[1]) >= 0.5 * math.log(_NORM_GUARD)
+            for c, p in zip(configs, periods)
+        ]
+    )
+    frames = np.repeat(np.eye(two_m, dtype=complex)[None], B, axis=0)
+    batch_sums = np.zeros((B, nb, two_m))
+    batch_cols = np.zeros((B, nb))  # column count (2 per step) accumulated per batch
+    total = np.zeros((B, two_m))
+    pending = np.zeros(B, dtype=int)  # steps since each chain's last orthonormalization
     pending_batch = 0
+
+    def orthonormalize(due: np.ndarray, keep: bool) -> None:
+        nonlocal frames
+        if due.size == B:
+            frames, logs = _qr_positive(frames)
+        else:
+            q, logs = _qr_positive(frames[due])
+            frames[due] = q
+        if keep:
+            batch_sums[due, pending_batch] += logs
+            batch_cols[due, pending_batch] += 2 * pending[due]
+            total[due] += logs
+        pending[due] = 0
+
+    everyone = np.arange(B)
+    chunk = max(1, _CHUNK_CHAIN_STEPS // B)
     done = 0
     while done < burn + n:
         block = min(chunk, burn + n - done)
-        uni = rng.random((block, 4 * M))
+        # (block, B, 4M); each generator's stream does not depend on the chunking
+        uni = np.stack([rng.random((block, 4 * M)) for rng in rngs], axis=1)
         p_r, p_m, p_l = _split_slots(np.exp(2j * np.pi * uni))
         for i in range(block):
-            frame = _apply_layer(m1, m2, p_r[i], p_m[i], p_l[i], frame)
+            frames = _apply_layer(m1, m2, p_r[i], p_m[i], p_l[i], frames)
             step = done + i
             pending += 1
             if step >= burn:
                 pending_batch = min(nb - 1, (step - burn) * nb // n)
             # flush at the burn-in boundary so discarded and kept logs never mix
-            due = pending >= period or step == burn - 1
-            if not due and period > 1:
-                due = np.max(np.abs(frame)) > _NORM_GUARD
-            if due:
-                frame, logs = _qr_positive(frame)
-                if step >= burn:
-                    batch_sums[pending_batch] += logs
-                    batch_cols[pending_batch] += 2 * pending
-                    total += logs
-                pending = 0
+            if step == burn - 1:
+                orthonormalize(everyone, keep=False)
+                continue
+            due = pending >= periods
+            if watched.size:
+                peak = np.max(np.abs(frames[watched]), axis=(-2, -1))
+                due[watched[peak > _NORM_GUARD]] = True
+            if due.any():
+                orthonormalize(np.flatnonzero(due), keep=step >= burn)
         done += block
-    if pending:
-        frame, logs = _qr_positive(frame)
-        batch_sums[pending_batch] += logs
-        batch_cols[pending_batch] += 2 * pending
-        total += logs
+    if pending.any():
+        orthonormalize(np.flatnonzero(pending), keep=True)
 
-    exponents = total / (2.0 * n)
-    batch_means = batch_sums / batch_cols[:, None]
-    order = np.argsort(exponents)[::-1]
-    exponents = exponents[order]
-    batch_means = batch_means[:, order]
-    stderrs = np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)
-    return LyapunovResult(
-        exponents=exponents, stderrs=stderrs, batch_means=batch_means, config=config
-    )
+    results = []
+    for c, chain_total, sums, cols in zip(configs, total, batch_sums, batch_cols):
+        exponents = chain_total / (2.0 * n)
+        batch_means = sums / cols[:, None]
+        order = np.argsort(exponents)[::-1]
+        exponents = exponents[order]
+        batch_means = batch_means[:, order]
+        stderrs = np.std(batch_means, axis=0, ddof=1) / math.sqrt(nb)
+        results.append(
+            LyapunovResult(exponents=exponents, stderrs=stderrs, batch_means=batch_means, config=c)
+        )
+    return results
 
 
 @dataclass(frozen=True)
@@ -256,11 +333,9 @@ def z_independence_check(
     for z in (z1, z2):
         if abs(abs(complex(z)) - 1.0) > 1e-12:
             raise ValueError(f"z-independence holds on the unit circle only, got |z| = {abs(z)}")
-    r1 = lyapunov_spectrum(
-        CocycleRunConfig(params=params, M=M, n_steps=n_steps, seed=seeds[0], z=z1)
-    )
-    r2 = lyapunov_spectrum(
-        CocycleRunConfig(params=params, M=M, n_steps=n_steps, seed=seeds[1], z=z2)
+    r1, r2 = lyapunov_spectra(
+        CocycleRunConfig(params=params, M=M, n_steps=n_steps, seed=seed, z=z)
+        for z, seed in ((z1, seeds[0]), (z2, seeds[1]))
     )
     sigma = np.sqrt(r1.stderrs**2 + r2.stderrs**2)
     diff = np.abs(r1.exponents - r2.exponents)

@@ -290,18 +290,21 @@ def build_parity_operators(z: complex, M: int) -> ParityOperators:
     w = np.zeros((two_m, two_m), dtype=complex)
     v = np.zeros((two_m, two_m), dtype=complex)
     k_swap = np.zeros((two_m, two_m))
-    for k in range(M):
-        a, b = 2 * k + 1, (2 * k + 2) % two_m
-        w[a, b] = z * s
-        w[b, b] = s
-        w[a, a] = -s
-        w[b, a] = s / z
-        v[2 * k, 2 * k] = z * s
-        v[2 * k + 1, 2 * k] = -s
-        v[2 * k, 2 * k + 1] = s
-        v[2 * k + 1, 2 * k + 1] = s / z
-        k_swap[2 * k, 2 * k + 1] = 1.0
-        k_swap[2 * k + 1, 2 * k] = 1.0
+    # entry (2k+i, 2k+j) sits at i*2M + j + k*step of the flat matrix; a
+    # slice stops at the last row, so the wrapped pair of W is set apart
+    fw, fv, fk, step = w.reshape(-1), v.reshape(-1), k_swap.reshape(-1), 2 * two_m + 2
+    fw[two_m + 2 :: step] = z * s  # (2k+1, 2k+2), k < M-1
+    fw[0::step] = s  # (2k+2, 2k+2), ring 0 for k = M-1
+    fw[two_m + 1 :: step] = -s  # (2k+1, 2k+1)
+    fw[2 * two_m + 1 :: step] = s / z  # (2k+2, 2k+1), k < M-1
+    w[-1, 0] = z * s
+    w[0, -1] = s / z
+    fv[0::step] = z * s  # (2k, 2k)
+    fv[two_m::step] = -s  # (2k+1, 2k)
+    fv[1::step] = s  # (2k, 2k+1)
+    fv[two_m + 1 :: step] = s / z  # (2k+1, 2k+1)
+    fk[1::step] = 1.0  # (2k, 2k+1)
+    fk[two_m::step] = 1.0  # (2k+1, 2k)
     return ParityOperators(z=z, k_swap=k_swap, v=v, w=w)
 
 

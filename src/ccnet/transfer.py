@@ -76,17 +76,19 @@ def layer_matrices(z: complex, M: int, params: ModelParams) -> tuple[np.ndarray,
     two_m = 2 * M
     m1 = np.zeros((two_m, two_m), dtype=complex)
     m2 = np.zeros((two_m, two_m), dtype=complex)
-    for k in range(M):
-        a, b = 2 * k, 2 * k + 1
-        m1[a, a] = (1.0 / z) / params.t
-        m1[a, b] = -params.r / params.t
-        m1[b, a] = -params.r / params.t
-        m1[b, b] = z / params.t
-        a, b = 2 * k + 1, (2 * k + 2) % two_m
-        m2[a, a] = z / params.r
-        m2[a, b] = -params.t / params.r
-        m2[b, a] = params.t / params.r
-        m2[b, b] = (-1.0 / z) / params.r
+    # entry (2k+i, 2k+j) sits at i*2M + j + k*step of the flat matrix; a
+    # slice stops at the last row, so the wrapped pair of M2 is set apart
+    f1, f2, step = m1.reshape(-1), m2.reshape(-1), 2 * two_m + 2
+    f1[0::step] = (1.0 / z) / params.t  # (2k, 2k)
+    f1[1::step] = -params.r / params.t  # (2k, 2k+1)
+    f1[two_m::step] = -params.r / params.t  # (2k+1, 2k)
+    f1[two_m + 1 :: step] = z / params.t  # (2k+1, 2k+1)
+    f2[two_m + 1 :: step] = z / params.r  # (2k+1, 2k+1)
+    f2[two_m + 2 :: step] = -params.t / params.r  # (2k+1, 2k+2), k < M-1
+    f2[2 * two_m + 1 :: step] = params.t / params.r  # (2k+2, 2k+1), k < M-1
+    f2[0::step] = (-1.0 / z) / params.r  # (2k+2, 2k+2), ring 0 for k = M-1
+    m2[-1, 0] = -params.t / params.r
+    m2[0, -1] = params.t / params.r
     return m1, m2
 
 
@@ -173,10 +175,12 @@ def _split_slots(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _apply_layer(m1, m2, p_r, p_m, p_l, frame: np.ndarray) -> np.ndarray:
     """One cocycle step A_z(p) frame = D(p_l) M2(z) D(p_m) M1(z) D(p_r) frame.
 
-    The operand order is fixed: numpy's complex multiply is not bitwise
-    commutative, and every caller relies on this exact rounding.
+    Leading axes batch independent chains: m1, m2 (..., 2M, 2M), the
+    diagonals (..., 2M) and frame (..., 2M, k).  The operand order is fixed:
+    numpy's complex multiply is not bitwise commutative, and every caller
+    relies on this exact rounding.
     """
-    return p_l[:, None] * (m2 @ (p_m[:, None] * (m1 @ (p_r[:, None] * frame))))
+    return p_l[..., :, None] * (m2 @ (p_m[..., :, None] * (m1 @ (p_r[..., :, None] * frame))))
 
 
 def cocycle_step(z: complex, layer: LayerPhases, params: ModelParams) -> TransferMatrix:

@@ -368,6 +368,30 @@ def test_xi_scaling_is_the_lyapunov_k_equals_m_row(tmp_path):
         assert {c: a[c] for c in rest} == {c: b[c] for c in rest}
 
 
+def test_xi_scaling_echoes_the_crude_upper_bound(tmp_path):
+    from ccnet import ModelParams, xi_upper_bound
+
+    sweep = ["--r", "0.3,0.7071067811865476", "--M", "1,2", "--steps", "1000", "--seeds", "1"]
+    js, csv_a, csv_b = tmp_path / "xi.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["xi-scaling", *sweep, "--format", "json", "--out", str(js)]) == 0
+    record = read_records(js, "json")[0]
+    assert record.config["xi_upper_bound"] == [
+        [r, M, xi_upper_bound(ModelParams.from_r(r), M)]
+        for r in (0.3, 0.7071067811865476)
+        for M in (1, 2)
+    ]
+    # critical r = t: vacuous from M = 2 on; r = 0.3 stays finite at M = 2
+    bounds = {(r, M): value for r, M, value in record.config["xi_upper_bound"]}
+    assert bounds[(0.7071067811865476, 2)] == "vacuous"
+    assert isinstance(bounds[(0.7071067811865476, 1)], float)
+    assert isinstance(bounds[(0.3, 2)], float)
+    # the CSV carries rows only, so it does not change
+    main(["xi-scaling", *sweep, "--out", str(csv_a)])
+    main(["xi-scaling", *sweep, "--out", str(csv_b)])
+    assert csv_a.read_bytes() == csv_b.read_bytes()
+    assert [row for row in read_records(csv_a, "csv")] == record.rows
+
+
 def test_package_exports_are_the_layer_all_lists():
     # ``ccnet`` re-exports exactly the public names of its layers, so an
     # export removed from a layer cannot linger at the package level
@@ -402,7 +426,8 @@ def test_dump_operator_round_trip(tmp_path):
 
 
 def test_workers_parallel_matches_serial(tmp_path):
-    base = ["lyapunov", "--r", "0.6,0.7", "--M", "1", "--steps", "2000", "--seeds", "1,2"]
+    # two M values make two lockstep batches, so the pool really runs both
+    base = ["lyapunov", "--r", "0.6,0.7", "--M", "1,2", "--steps", "2000", "--seeds", "1,2"]
     a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
     assert main(base + ["--workers", "1", "--out", str(a)]) == 0
     assert main(base + ["--workers", "2", "--out", str(b)]) == 0

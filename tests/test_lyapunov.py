@@ -2,20 +2,92 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccnet import (
     CocycleRunConfig,
+    LayerPhases,
     LyapunovResult,
     ModelParams,
+    cocycle_step,
     exponent_lower_bounds,
     localization_length,
+    lyapunov_spectra,
     lyapunov_spectrum,
     thouless_rhs,
     xi_upper_bound,
     z_independence_check,
 )
+from ccnet import lyapunov
+from ccnet.lyapunov import _COND_CAP, _NORM_GUARD, _qr_positive, _step_bounds
+from ccnet.transfer import _apply_layer, _split_slots, layer_matrices
 
 HALF_LOG_2 = 0.5 * math.log(2.0)  # mean exponent at the self-dual point
+
+
+def _reference_spectrum(config):
+    """The single-chain, per-step loop the batched engine replaced (test oracle).
+
+    One chain, one ``_apply_layer`` and one unstacked QR per due step, phases
+    drawn 1024 steps at a time; returns (exponents, stderrs) as the engine
+    sorts them.
+    """
+    M = config.M
+    two_m = 2 * M
+    rng = np.random.default_rng(config.seed)
+    m1, m2 = layer_matrices(config.z, M, config.params)
+    frame = np.eye(two_m, dtype=complex)
+
+    n = config.n_steps
+    burn = config.effective_burn_in
+    nb = config.batch_count
+    period = config.effective_reorth_period
+    batch_sums = np.zeros((nb, two_m))
+    batch_cols = np.zeros(nb)
+    total = np.zeros(two_m)
+
+    pending = 0
+    pending_batch = 0
+    done = 0
+    while done < burn + n:
+        block = min(1024, burn + n - done)
+        uni = rng.random((block, 4 * M))
+        p_r, p_m, p_l = _split_slots(np.exp(2j * np.pi * uni))
+        for i in range(block):
+            frame = _apply_layer(m1, m2, p_r[i], p_m[i], p_l[i], frame)
+            step = done + i
+            pending += 1
+            if step >= burn:
+                pending_batch = min(nb - 1, (step - burn) * nb // n)
+            due = pending >= period or step == burn - 1
+            if not due and period > 1:
+                due = np.max(np.abs(frame)) > _NORM_GUARD
+            if due:
+                frame, logs = _qr_positive(frame)
+                if step >= burn:
+                    batch_sums[pending_batch] += logs
+                    batch_cols[pending_batch] += 2 * pending
+                    total += logs
+                pending = 0
+        done += block
+    if pending:
+        frame, logs = _qr_positive(frame)
+        batch_sums[pending_batch] += logs
+        batch_cols[pending_batch] += 2 * pending
+        total += logs
+
+    exponents = total / (2.0 * n)
+    batch_means = batch_sums / batch_cols[:, None]
+    order = np.argsort(exponents)[::-1]
+    stderrs = np.std(batch_means[:, order], axis=0, ddof=1) / math.sqrt(nb)
+    return exponents[order], stderrs
+
+
+def _same(result, other) -> bool:
+    return np.array_equal(result.exponents, other.exponents) and np.array_equal(
+        result.stderrs, other.stderrs
+    ) and np.array_equal(result.batch_means, other.batch_means)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +213,7 @@ def test_spectrum_norm_cap(critical):
 
 
 def test_spectrum_reorth_period_consistency(critical):
-    base = _run(critical, 2, 30_000, 9)
+    base = _run(critical, 2, 30_000, 9, reorth_period=1)
     coarse = _run(critical, 2, 30_000, 9, reorth_period=5)
     assert np.max(np.abs(base.exponents - coarse.exponents)) <= 4 * np.max(
         base.stderrs + coarse.stderrs
@@ -152,9 +224,20 @@ def test_spectrum_overflow_guard_off_circle(critical):
     # |z| = 2 grows like e^{2.08} per step: an un-guarded product over 500
     # steps would overflow; the early orthonormalization keeps it finite and
     # leaves the estimate intact
-    guarded = _run(critical, 2, 10_000, 21, z=2.0, reorth_period=500)
+    calls = []
+
+    def counted(frames):
+        calls.append(1)
+        return _qr_positive(frames)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_qr_positive", counted)
+        guarded = _run(critical, 2, 10_000, 21, z=2.0, reorth_period=500)
     assert np.all(np.isfinite(guarded.exponents))
     assert abs(guarded.mean_top() - thouless_rhs(2.0, critical)) <= 0.02
+    # 10_100 steps at period 500 would take 22 orthonormalizations; the guard
+    # fires about every 110 steps (1e100 = e^230 at a top growth of 2.08)
+    assert len(calls) > 60
 
 
 def test_spectrum_stderr_shrinks_with_n(critical):
@@ -172,6 +255,162 @@ def test_gammas_and_gaps(critical):
     assert gaps.shape == (2,)
     assert gaps[-1] == pytest.approx(res.exponents[1], abs=1e-15)
     assert res.gap_stderrs().shape == (2,)
+
+
+# ---------------------------------------------------------------------------
+# batched engine against the single-chain oracle
+
+
+def _config(r, M, n, seed, z=1.0, period=None, **kw):
+    return CocycleRunConfig(
+        params=ModelParams.from_r(r), M=M, n_steps=n, seed=seed, z=z, reorth_period=period, **kw
+    )
+
+
+def test_engine_matches_reference_at_period_one():
+    mixed = [
+        _config(0.6, 3, 1500, 1, period=1),
+        _config(0.3, 3, 1500, 2, z=0.5, period=1),
+        _config(0.95, 3, 1500, 3, z=2.0, period=1),
+        _config(0.6, 3, 1500, 4),
+        _config(0.7071067811865476, 3, 1500, 5, z=np.exp(0.2j * np.pi), period=7),
+    ]
+    batch = lyapunov_spectra(mixed)
+    for config, result in zip(mixed[:3], batch[:3]):
+        exponents, stderrs = _reference_spectrum(config)
+        alone = lyapunov_spectrum(config)
+        for got in (alone, result):
+            assert np.array_equal(got.exponents, exponents)
+            assert np.array_equal(got.stderrs, stderrs)
+
+
+def test_engine_matches_reference_at_other_periods():
+    configs = [
+        _config(0.6, 2, 4000, 11),
+        _config(0.6, 2, 4000, 12, z=0.5),
+        _config(0.6, 2, 4000, 13, period=9),
+        # top growth e^2.2 per step: the overflow guard (e^230) fires before step 200
+        _config(0.5, 2, 4000, 14, z=2.0, period=200),
+    ]
+    batch = lyapunov_spectra(configs)
+    for config, result in zip(configs, batch):
+        exponents, stderrs = _reference_spectrum(config)
+        assert np.array_equal(result.exponents, exponents)
+        assert np.array_equal(result.stderrs, stderrs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_NORM_GUARD", math.inf)
+        unguarded = lyapunov_spectra(configs)
+    assert [_same(a, b) for a, b in zip(batch, unguarded)] == [True, True, True, False]
+
+
+_CELL = st.tuples(
+    st.sampled_from([0.3, 0.6, 0.7071067811865476, 0.95]),
+    st.sampled_from([1.0, np.exp(0.2j * np.pi), np.exp(-0.7j), 0.5, 2.0, 0.8 * np.exp(1.1j)]),
+    st.integers(0, 10_000),
+    st.sampled_from([None, None, 1, 2, 3, 8, 20]),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=st.integers(1, 3), cells=st.lists(_CELL, min_size=1, max_size=5))
+def test_batch_composition_does_not_change_any_cell(M, cells):
+    configs = [_config(r, M, 400, seed, z=z, period=period) for r, z, seed, period in cells]
+    for config, result in zip(configs, lyapunov_spectra(configs)):
+        assert _same(result, lyapunov_spectrum(config))
+        assert result.config is config
+
+
+@pytest.mark.parametrize("M", [1, 4, 16])
+def test_derived_period_agrees_with_reference(M):
+    # at M = 16 off the circle, r = 0.3 or 0.95, the exponents sit in
+    # near-degenerate clusters and the derived period's rounding fades only
+    # as 1/n (6.8e-9 at n = 2000, 7.5e-10 at n = 8000)
+    grid = [
+        (r, z)
+        for r in (0.3, 0.6, math.sqrt(0.5), 0.95)
+        for z in (1.0, np.exp(0.2j * np.pi), 0.5, 2.0)
+    ]
+    derived = lyapunov_spectra([_config(r, M, 8000, 3, z=z) for r, z in grid])
+    # the period-1 engine is bitwise the reference loop (see the test above)
+    # and runs the 16 chains in one batch
+    reference = lyapunov_spectra([_config(r, M, 8000, 3, z=z, period=1) for r, z in grid])
+    for got, want in zip(derived, reference):
+        assert np.max(np.abs(got.exponents - want.exponents)) <= 1e-9
+
+
+def test_spectra_rejects_mixed_shapes():
+    assert lyapunov_spectra([]) == []
+    with pytest.raises(ValueError):
+        lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 3, 200, 1)])
+    with pytest.raises(ValueError):
+        lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 2, 400, 1)])
+    with pytest.raises(ValueError):
+        lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 2, 200, 1, batch_count=10)])
+
+
+# ---------------------------------------------------------------------------
+# the derived re-orthonormalization period
+
+
+@pytest.mark.parametrize("r", [0.1, 0.3, 0.6, 0.7071067811865476, 0.95])
+def test_step_condition_closed_form_on_circle(r):
+    params = ModelParams.from_r(r)
+    t = params.t
+    closed = (1 + r) * (1 + t) / ((1 - r) * (1 - t))
+    for z in (1.0, np.exp(0.3j), np.exp(-2.5j)):
+        kappa, norm = _step_bounds(z, params)
+        assert kappa == pytest.approx(closed, rel=1e-12)
+        assert norm == pytest.approx((1 + r) * (1 + t) / (r * t), rel=1e-12)
+
+
+def test_derived_period_values():
+    lopsided = ModelParams.from_r(0.6)
+    assert _step_bounds(1.0, lopsided)[0] == pytest.approx(36.0, rel=1e-12)
+    assert _step_bounds(0.5, lopsided)[0] == pytest.approx(117.0, abs=0.5)
+    assert _config(0.6, 4, 10_000, 1).effective_reorth_period == 5
+    assert _config(0.6, 4, 10_000, 1, z=0.5).effective_reorth_period == 3
+    # clamped to n_steps // batch_count, and to at least 1
+    assert _config(0.6, 4, 60, 1).effective_reorth_period == 3
+    assert _config(0.999, 1, 10_000, 1, z=20.0).effective_reorth_period == 1
+    # an explicit period is honoured
+    assert _config(0.6, 4, 10_000, 1, period=1).effective_reorth_period == 1
+    assert _config(0.6, 4, 10_000, 1, period=17).effective_reorth_period == 17
+    with pytest.raises(ValueError):
+        _config(0.6, 4, 100, 1, period=6)
+
+
+@pytest.mark.parametrize(
+    "r, z", [(0.3, 1.0), (0.6, np.exp(0.4j)), (0.7071067811865476, 0.5), (0.95, 2.0)]
+)
+def test_derived_period_keeps_frame_condition_below_cap(r, z):
+    # exact bound: a product of p steps from an orthonormal frame has
+    # cond <= kappa_step^p <= 1e8
+    params = ModelParams.from_r(r)
+    period = _config(r, 3, 10**6, 1, z=z).effective_reorth_period
+    rng = np.random.default_rng(int(1000 * r) + period)
+    worst = 0.0
+    for _ in range(200):
+        frame = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        for _ in range(period):
+            frame = cocycle_step(z, LayerPhases.random(rng, 3), params).matrix @ frame
+        worst = max(worst, np.linalg.cond(frame))
+    assert worst <= _COND_CAP
+    assert worst <= _step_bounds(z, params)[0] ** period * (1 + 1e-9)
+
+
+def test_explicit_period_sets_the_orthonormalization_count(critical):
+    counts = []
+
+    def counted(frames):
+        counts.append(frames.shape[0])
+        return _qr_positive(frames)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_qr_positive", counted)
+        lyapunov_spectra([_config(0.6, 2, 700, 1, period=7), _config(0.6, 2, 700, 2, period=1)])
+    # 7 burn-in steps, flushed at step 6, then 700 kept steps: the first chain
+    # is due every 7th step, the second at every step
+    assert sum(counts) == (1 + 100) + (7 + 700)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +457,14 @@ def test_z_independence_same_seed_identical(critical):
 def test_z_independence_passes_on_circle(critical):
     rep = z_independence_check(critical, 2, 1.0, np.exp(1j * np.pi / 5), 40_000, (1, 2))
     assert rep.all_pass
+
+
+def test_z_independence_runs_the_two_solo_chains(critical):
+    z2 = np.exp(1j * np.pi / 5)
+    rep = z_independence_check(critical, 2, 1.0, z2, 3000, (4, 5))
+    for z, seed, got in ((1.0, 4, rep.lambda1), (z2, 5, rep.lambda2)):
+        solo = _run(critical, 2, 3000, seed, z=z)
+        assert np.array_equal(got, solo.exponents)
 
 
 def test_z_independence_rejects_off_circle(critical):

@@ -158,6 +158,39 @@ def test_wall_algebra_random_z(rng):
         assert np.array_equal(ops.k_swap @ ops.k_swap, np.eye(ops.k_swap.shape[0]))
 
 
+def _parity_operators_loop(z, M):
+    """The ring-by-ring loop the index-array assignment replaced (test oracle)."""
+    two_m = 2 * M
+    s = 1.0 / math.sqrt(2.0)
+    w = np.zeros((two_m, two_m), dtype=complex)
+    v = np.zeros((two_m, two_m), dtype=complex)
+    k_swap = np.zeros((two_m, two_m))
+    for k in range(M):
+        a, b = 2 * k + 1, (2 * k + 2) % two_m
+        w[a, b] = z * s
+        w[b, b] = s
+        w[a, a] = -s
+        w[b, a] = s / z
+        v[2 * k, 2 * k] = z * s
+        v[2 * k + 1, 2 * k] = -s
+        v[2 * k, 2 * k + 1] = s
+        v[2 * k + 1, 2 * k + 1] = s / z
+        k_swap[2 * k, 2 * k + 1] = 1.0
+        k_swap[2 * k + 1, 2 * k] = 1.0
+    return w, v, k_swap
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+def test_parity_operators_match_ring_loop(M):
+    for z in (1.0, np.exp(0.9j), 0.5, 2.0 * np.exp(-2.2j), 0.7 - 1.3j):
+        ops = build_parity_operators(z, M)
+        w, v, k_swap = _parity_operators_loop(complex(z), M)
+        assert np.array_equal(ops.w, w)
+        assert np.array_equal(ops.v, v)
+        assert np.array_equal(ops.k_swap, k_swap)
+        assert ops.k_swap.dtype == k_swap.dtype and ops.w.dtype == w.dtype
+
+
 def test_wall_w_maps_even_into_left_wall_space():
     # image vectors satisfy the wall relation psi_{2k+1} = z psi_{2k+2}
     M = 3

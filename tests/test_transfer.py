@@ -68,6 +68,33 @@ def test_blocks_domain_errors(lopsided):
         cocycle_step(1.0, LayerPhases.ones(2), ModelParams.from_r(1.0))
 
 
+def _layer_matrices_loop(z, M, params):
+    """The ring-by-ring loop the index-array assignment replaced (test oracle)."""
+    two_m = 2 * M
+    m1 = np.zeros((two_m, two_m), dtype=complex)
+    m2 = np.zeros((two_m, two_m), dtype=complex)
+    for k in range(M):
+        a, b = 2 * k, 2 * k + 1
+        m1[a, a] = (1.0 / z) / params.t
+        m1[a, b] = -params.r / params.t
+        m1[b, a] = -params.r / params.t
+        m1[b, b] = z / params.t
+        a, b = 2 * k + 1, (2 * k + 2) % two_m
+        m2[a, a] = z / params.r
+        m2[a, b] = -params.t / params.r
+        m2[b, a] = params.t / params.r
+        m2[b, b] = (-1.0 / z) / params.r
+    return m1, m2
+
+
+@pytest.mark.parametrize("M", range(1, 7))
+def test_layer_matrices_match_ring_loop(M, lopsided):
+    for z in (1.0, np.exp(0.9j), 0.5, 2.0 * np.exp(-2.2j), 1.0 + 0.0j):
+        for params in (lopsided, ModelParams.from_r(0.95)):
+            for got, want in zip(layer_matrices(z, M, params), _layer_matrices_loop(complex(z), M, params)):
+                assert np.array_equal(got, want)
+
+
 def test_layer_matrices_m2_corner_entries(lopsided):
     z = np.exp(0.9j)
     _, m2 = layer_matrices(z, 3, lopsided)
