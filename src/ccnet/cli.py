@@ -183,9 +183,12 @@ def _lyapunov_rows(cell, result):
 
 
 def _lyapunov_results(args, parser, zs):
-    """Run the sorted (r, M, z, seed) cells, one lockstep batch per (M, steps).
+    """Run the sorted (r, M, z, seed) cells in lockstep batches of equal (M, steps).
 
-    Returns the r grid and the (cell, result) pairs in sorted cell order.
+    Each (M, steps) group is split into at most ``workers`` contiguous,
+    near-equal batches, so one M still spreads over the pool; a cell's
+    result does not depend on its batch.  Returns the r grid and the
+    (cell, result) pairs in sorted cell order.
     """
     rs = args.r if args.r else DEFAULT_R_GRID
     for r in rs:
@@ -196,9 +199,13 @@ def _lyapunov_results(args, parser, zs):
     groups = {}
     for cell in cells:
         groups.setdefault((cell[1], cell[4]), []).append(cell)
+    batches = []
+    for group in groups.values():
+        parts = min(args.workers, len(group))
+        edges = [i * len(group) // parts for i in range(parts + 1)]
+        batches += [group[a:b] for a, b in zip(edges, edges[1:])]
     results = dict(
-        pair for done in _parallel(_lyapunov_group, list(groups.values()), args.workers)
-        for pair in done
+        pair for done in _parallel(_lyapunov_group, batches, args.workers) for pair in done
     )
     return rs, [(cell, results[cell]) for cell in cells]
 

@@ -182,7 +182,9 @@ def lyapunov_spectra(configs) -> list[LyapunovResult]:
     re-orthonormalized every ``effective_reorth_period`` steps of its own
     (or early if a column entry exceeds the overflow guard), with one
     stacked QR over the chains that are due.  After the burn-in, log
-    diagonals are accumulated into ``batch_count`` contiguous batches; the
+    diagonals are accumulated into ``batch_count`` contiguous batches, and
+    every frame is orthonormalized at each batch edge so that a batch holds
+    the logs of exactly its own steps whatever the period; the
     estimate is total / (2 * n_steps) per exponent and the standard error is
     the batch-means spread.  Exponents are returned sorted descending
     together with the matching stderr permutation, one result per config in
@@ -244,10 +246,14 @@ def lyapunov_spectra(configs) -> list[LyapunovResult]:
             step = done + i
             pending += 1
             if step >= burn:
-                pending_batch = min(nb - 1, (step - burn) * nb // n)
+                pending_batch = (step - burn) * nb // n
             # flush at the burn-in boundary so discarded and kept logs never mix
             if step == burn - 1:
                 orthonormalize(everyone, keep=False)
+                continue
+            # and at each batch edge, so every batch holds exactly its own steps
+            if step >= burn and (step + 1 - burn) * nb // n > pending_batch:
+                orthonormalize(everyone, keep=True)
                 continue
             due = pending >= periods
             if watched.size:

@@ -9,10 +9,12 @@ rank check.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .model import (
     FiniteOperator,
@@ -54,6 +56,15 @@ _CLUSTER_GAP = 1e-4
 _CHUNK = 64  # columns per sparse U @ V product in the Rayleigh/gate pass
 _EIGEN_GATE = 1e-8  # residual and unit-modulus gates
 
+# Band centres in rad.  They must not differ by pi/2 mod pi: the theta -> theta
+# + pi symmetry of U^D would then confirm every mirror candidate.
+_BAND_CENTRES = (0.0, 1.0)
+_LEVEL_SLACK = 1e-8  # |cos(theta - gamma)| may exceed 1 by this much
+_LEVEL_MATCH = 1e-10  # cross-centre confirmation of a candidate phase
+_TRACE_TOL = 1e-9  # per dimension, |sum e^{i theta} - tr U|
+
+_log = logging.getLogger("ccnet.spectral")
+
 
 class EigensolverError(RuntimeError):
     pass
@@ -68,7 +79,10 @@ class SpectrumResult:
     eigenvectors: np.ndarray | None = field(default=None, repr=False)  # (N, N) columns
     L: int = 0
     M: int = 1
-    max_residual: float = 0.0  # worst ||U v - lambda v|| over the eigenpairs
+    # pencil: worst ||U v - lambda v|| over the eigenpairs; banded: worst
+    # mismatch between a kept phase and the nearest level of its other centre
+    max_residual: float = 0.0
+    solver: str = "pencil"  # "banded" | "pencil"
 
     @property
     def dim(self) -> int:
@@ -81,9 +95,30 @@ class SpectrumResult:
 def eigendecompose(
     op: FiniteOperator, want_vectors: bool = True, max_dim: int = DESK_SCALE_CAP
 ) -> SpectrumResult:
-    """Eigen-decomposition of the finite unitary U^D through a Hermitian pencil.
+    """Eigenphases of the finite unitary U^D, with its eigenvectors on request.
 
-    U^D is normal, so its Hermitian and skew parts commute and
+    Eigenvalue path (``want_vectors=False``): U^D has half-bandwidth 2M in
+    site order, and for each centre gamma in {0, 1} rad the band matrix
+
+        H_gamma = (e^{-i gamma} U + e^{i gamma} U^*)/2
+
+    is Hermitian with levels cos(theta - gamma).  Its upper band storage is
+    filled from the sparse diagonals, without densifying, and its levels are
+    taken by ``scipy.linalg.eigvals_banded``.  Each phase theta = gamma +-
+    arccos(c) is taken from the centre where |sin(theta - gamma)| is larger
+    and kept only if cos(theta - gamma') matches a level of the other centre
+    within 1e-10.  The centres are not pi/2 apart mod pi: the spectrum's
+    theta -> theta + pi symmetry would then confirm every mirror candidate.
+    The result is certified only if every level has |c| <= 1 + 1e-8,
+    exactly N phases are kept and |sum e^{i theta} - tr U| <= 1e-9 N; it
+    then carries ``solver="banded"``, eigenvalues e^{i theta} and, as
+    ``max_residual``, the worst cross-centre level mismatch.  Otherwise
+    (a spectrum with mirror pairs theta, 2 gamma - theta overcounts, as the
+    L = 0 ring shift does) the reason is logged at INFO on the
+    ``ccnet.spectral`` logger and the call runs the pencil below.
+
+    Vector path and fallback (``solver="pencil"``): U^D is normal, so its
+    Hermitian and skew parts commute and
 
         H = (U + U^*)/2 + a (U - U^*)/(2i),    a = PENCIL_SKEW_WEIGHT,
 
@@ -92,18 +127,96 @@ def eigendecompose(
     H-level when they are equal or mirror each other, theta + theta' = 2 atan(a)
     (mod 2pi), so every cluster of H-levels closer than 1e-4 is rotated by
     the complex Schur basis of its projected block V_c^* U V_c, which is
-    diagonal because the block is normal.  Each eigenvalue is the
-    Rayleigh quotient v^* U v.  Both paths (the vectors are needed for the
-    quotients either way) gate every pair on its residual ||U v - lambda v||
-    and on | |lambda| - 1 |, both at 1e-8, and raise EigensolverError beyond;
-    the worst residual is returned as ``max_residual``.  The dense general
-    eigensolver ``np.linalg.eig`` is kept as the oracle in the tests.
+    diagonal because the block is normal.  Each eigenvalue is the Rayleigh
+    quotient v^* U v.  Every pair is gated on its residual ||U v - lambda v||
+    and on | |lambda| - 1 |, both at 1e-8, and EigensolverError is raised
+    beyond; the worst residual is returned as ``max_residual``.  The pencil
+    is the test oracle of the banded path, and the dense general eigensolver
+    ``np.linalg.eig`` the oracle of the pencil.
     """
-    import scipy.linalg  # deferred: importing it costs every CLI start-up
-
     n = op.dim
     if n > max_dim:
         raise ValueError(f"operator dimension {n} exceeds desk-scale cap {max_dim}")
+    if not want_vectors:
+        try:
+            phases, mismatch = _banded_eigenphases(op.matrix)
+        except _NotCertified as exc:
+            _log.info("banded eigenphases not certified at N = %d (%s); using the pencil", n, exc)
+        else:
+            return SpectrumResult(
+                eigenphases=phases,
+                eigenvalues=np.exp(1j * phases),
+                L=op.L,
+                M=op.M,
+                max_residual=mismatch,
+                solver="banded",
+            )
+    return _pencil_decompose(op, want_vectors)
+
+
+class _NotCertified(Exception):
+    """The banded eigenphases failed a certification check (the message says which)."""
+
+
+def _band_levels(u, gamma: float, bandwidth: int) -> np.ndarray:
+    """Sorted levels of (e^{-i gamma} U + e^{i gamma} U^*)/2 from its upper band storage."""
+    import scipy.linalg
+
+    half = 0.5 * np.exp(-1j * gamma)
+    upper = sparse.triu(half * u + np.conj(half) * u.conj().T, format="coo")
+    band = np.zeros((bandwidth + 1, u.shape[0]), dtype=complex)
+    band[bandwidth + upper.row - upper.col, upper.col] = upper.data
+    try:
+        return scipy.linalg.eigvals_banded(
+            band, lower=False, overwrite_a_band=True, check_finite=False
+        )
+    except np.linalg.LinAlgError as exc:
+        raise _NotCertified(f"band eigensolver failed: {exc}") from exc
+
+
+def _banded_eigenphases(u) -> tuple[np.ndarray, float]:
+    """Certified sorted eigenphases of a unitary band matrix and the worst level mismatch."""
+    n = u.shape[0]
+    pattern = u.tocoo()
+    bandwidth = int(np.max(np.abs(pattern.row - pattern.col), initial=0))
+    levels = [_band_levels(u, gamma, bandwidth) for gamma in _BAND_CENTRES]
+    worst_level = max(float(np.max(np.abs(lv))) for lv in levels)
+    if not worst_level <= 1.0 + _LEVEL_SLACK:
+        raise _NotCertified(f"level {worst_level!r} outside [-1, 1]")
+    kept, mismatch = [], 0.0
+    for own, other in ((0, 1), (1, 0)):
+        gamma, gamma_other = _BAND_CENTRES[own], _BAND_CENTRES[other]
+        arc = np.arccos(np.clip(levels[own], -1.0, 1.0))
+        theta = np.concatenate([gamma + arc, gamma - arc])
+        lever, lever_other = np.abs(np.sin(theta - gamma)), np.abs(np.sin(theta - gamma_other))
+        # ties go to the first centre, so no phase is taken from both
+        theta = theta[lever >= lever_other if own == 0 else lever > lever_other]
+        miss = _nearest_gap(levels[other], np.cos(theta - gamma_other))
+        confirmed = miss <= _LEVEL_MATCH
+        kept.append(theta[confirmed])
+        mismatch = max(mismatch, float(np.max(miss[confirmed], initial=0.0)))
+    phases = np.sort(np.mod(np.concatenate(kept), 2.0 * np.pi))
+    if phases.size != n:
+        raise _NotCertified(f"{phases.size} phases confirmed, expected {n}")
+    trace_gap = abs(np.sum(np.exp(1j * phases)) - u.diagonal().sum())
+    if not trace_gap <= _TRACE_TOL * n:
+        raise _NotCertified(f"eigenvalue sum misses the trace by {trace_gap:.3e}")
+    return phases, mismatch
+
+
+def _nearest_gap(sorted_levels: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Distance from each value to the nearest of the sorted levels."""
+    idx = np.searchsorted(sorted_levels, values)
+    above = sorted_levels[np.minimum(idx, sorted_levels.size - 1)]
+    below = sorted_levels[np.maximum(idx - 1, 0)]
+    return np.minimum(np.abs(above - values), np.abs(values - below))
+
+
+def _pencil_decompose(op: FiniteOperator, want_vectors: bool) -> SpectrumResult:
+    """The Hermitian-pencil solve of ``eigendecompose``, gated on residual and modulus."""
+    import scipy.linalg  # deferred: importing it costs every CLI start-up
+
+    n = op.dim
     u = op.matrix
     half = 0.5 - 0.5j * PENCIL_SKEW_WEIGHT
     pencil = (half * u + np.conj(half) * u.conj().T).toarray(order="F")
@@ -152,6 +265,7 @@ def eigendecompose(
         L=op.L,
         M=op.M,
         max_residual=max_residual,
+        solver="pencil",
     )
 
 

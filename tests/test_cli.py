@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ccnet
-from ccnet import __version__, invariants
+from ccnet import __version__, cli, invariants
 from ccnet.cli import main
 from ccnet.records import CSV_HEADER, ResultRecord, canonical_row, emit, read_records
 
@@ -431,4 +431,24 @@ def test_workers_parallel_matches_serial(tmp_path):
     a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
     assert main(base + ["--workers", "1", "--out", str(a)]) == 0
     assert main(base + ["--workers", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_workers_split_one_m_over_the_pool(tmp_path, monkeypatch):
+    # one M is one (M, steps) group; --workers 2 splits it into two batches
+    tasks = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            batches = list(iterables[0])
+            tasks.append(len(batches))
+            return super().map(fn, batches, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    base = ["lyapunov", "--r", "0.6,0.7", "--M", "1", "--steps", "2000", "--seeds", "1,2"]
+    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+    assert tasks == []
+    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
+    assert tasks == [2]
     assert a.read_bytes() == b.read_bytes()

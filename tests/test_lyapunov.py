@@ -29,9 +29,9 @@ HALF_LOG_2 = 0.5 * math.log(2.0)  # mean exponent at the self-dual point
 def _reference_spectrum(config):
     """The single-chain, per-step loop the batched engine replaced (test oracle).
 
-    One chain, one ``_apply_layer`` and one unstacked QR per due step, phases
-    drawn 1024 steps at a time; returns (exponents, stderrs) as the engine
-    sorts them.
+    One chain, one ``_apply_layer`` and one unstacked QR per due step (and at
+    every batch edge), phases drawn 1024 steps at a time; returns
+    (exponents, stderrs) as the engine sorts them.
     """
     M = config.M
     two_m = 2 * M
@@ -60,7 +60,8 @@ def _reference_spectrum(config):
             pending += 1
             if step >= burn:
                 pending_batch = min(nb - 1, (step - burn) * nb // n)
-            due = pending >= period or step == burn - 1
+            edge = step >= burn and (step + 1 - burn) * nb // n > pending_batch
+            due = pending >= period or step == burn - 1 or edge
             if not due and period > 1:
                 due = np.max(np.abs(frame)) > _NORM_GUARD
             if due:
@@ -336,6 +337,19 @@ def test_derived_period_agrees_with_reference(M):
     reference = lyapunov_spectra([_config(r, M, 8000, 3, z=z, period=1) for r, z in grid])
     for got, want in zip(derived, reference):
         assert np.max(np.abs(got.exponents - want.exponents)) <= 1e-9
+
+
+@pytest.mark.parametrize("M", [4, 8])
+def test_batch_edge_flush_keeps_stderrs_at_derived_period(M):
+    # the |z| = 0.5 cells of the benchmark sweep: period 3 does not divide the
+    # 125-step batches, so without the edge flush up to two steps' logs land
+    # in the next batch and moved stderr_k by about 10% relative
+    grid = [(r, 0.5) for r in (0.6, math.sqrt(0.5))]
+    derived = lyapunov_spectra([_config(r, M, 2500, 1, z=z) for r, z in grid])
+    reference = lyapunov_spectra([_config(r, M, 2500, 1, z=z, period=1) for r, z in grid])
+    for got, want in zip(derived, reference):
+        assert got.config.effective_reorth_period == 3
+        assert np.max(np.abs(got.stderrs - want.stderrs) / want.stderrs) <= 1e-9
 
 
 def test_spectra_rejects_mixed_shapes():

@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from ccnet import (
@@ -20,7 +23,7 @@ from ccnet import (
     ks_statistic,
     sample_phase_field,
 )
-from ccnet.spectral import PENCIL_SKEW_WEIGHT, EigensolverError
+from ccnet.spectral import PENCIL_SKEW_WEIGHT, EigensolverError, _pencil_decompose
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +93,17 @@ def test_eigendecompose_matches_eig_oracle(r, M, L):
     residuals = np.linalg.norm(dense @ vecs - vecs * spec.eigenvalues, axis=0)
     assert residuals.max() <= 1e-10
     assert spec.max_residual <= 1e-10
+    assert spec.solver == "pencil"
     values_only = eigendecompose(op, want_vectors=False)
     assert values_only.eigenvectors is None
-    assert np.array_equal(values_only.eigenvalues, spec.eigenvalues)
-    assert values_only.max_residual == spec.max_residual
+    got = _phases_from_cut(values_only.eigenvalues, oracle)
+    assert np.max(np.abs(got - _phases_from_cut(oracle, oracle))) <= 1e-12
+    assert values_only.max_residual <= 1e-10
+    # L = 0 is the ring shift, whose 2M-th roots of unity come in mirror
+    # pairs +-theta; at M = 1 the pair {0, pi} has no lever at centre 0
+    # and is taken once, from centre 1
+    mirrored = L == 0 and M > 1
+    assert values_only.solver == ("pencil" if mirrored else "banded")
 
 
 def _normal_operator(thetas, seed, matrix_scale=1.0):
@@ -143,6 +153,51 @@ def test_eigendecompose_gates_reject_non_unitary(want_vectors):
     non_normal = FiniteOperator(L=2, M=1, params=skewed.params, matrix=sparse.csr_matrix(dense))
     with pytest.raises(EigensolverError, match="residual"):
         eigendecompose(non_normal, want_vectors=want_vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    M=st.integers(1, 5),
+    L=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_eigenphases_match_pencil(r, M, L, seed):
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
+    banded = eigendecompose(op, want_vectors=False)
+    pencil = _pencil_decompose(op, want_vectors=False)
+    assert banded.solver == "banded" and banded.dim == op.dim
+    got = _phases_from_cut(banded.eigenvalues, pencil.eigenvalues)
+    want = _phases_from_cut(pencil.eigenvalues, pencil.eigenvalues)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "r, M, L",
+    [
+        (0.6, 3, 25),  # the dos-eigvals operator
+        (0.6, 2, 24),  # the wide det-window operator
+    ],
+)
+def test_benchmark_operators_take_banded_path(r, M, L, caplog):
+    caplog.set_level(logging.INFO, logger="ccnet.spectral")
+    for seed in range(1, 5):
+        op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
+        spec = eigendecompose(op, want_vectors=False)
+        assert spec.solver == "banded"
+        assert spec.max_residual <= 1e-12
+    assert not caplog.records
+
+
+def test_fallback_to_pencil_is_logged(caplog):
+    # the L = 0, M = 2 ring shift has the mirror pairs +-pi/2 at centre 0
+    op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 2), 0, 2)
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        spec = eigendecompose(op, want_vectors=False)
+    assert spec.solver == "pencil"
+    assert np.allclose(spec.eigenphases, [0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-10)
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO and "6 phases confirmed, expected 4" in record.message
 
 
 # ---------------------------------------------------------------------------
