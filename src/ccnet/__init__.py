@@ -42,7 +42,6 @@ from .lyapunov import (
     LocalizationLength,
     LyapunovResult,
     ZIndependenceReport,
-    exponent_lower_bounds,
     localization_length,
     lyapunov_spectra,
     lyapunov_spectrum,

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__, invariants
 from .model import ModelParams, build_cylinder_operator, sample_phase_field
 from .lyapunov import (
+    BATCH_COUNT,
     CocycleRunConfig,
     localization_length,
     lyapunov_spectra,
@@ -47,6 +48,18 @@ from .spectral import (
 )
 
 DEFAULT_R_GRID = [0.6, 0.66, math.sqrt(0.5), math.sqrt(1 - 0.66**2), 0.8]
+# least accepted value of each integer flag, wherever a subcommand has it
+_FLAG_MINIMUMS = {
+    "workers": 1,
+    "M": 1,
+    "L": 0,
+    "steps": BATCH_COUNT,
+    "moments": 1,
+    "bins": 1,
+    "max_fits": 1,
+    "nx": 1,
+    "ny": 1,
+}
 
 
 def _default_workers(parser: argparse.ArgumentParser) -> int:
@@ -578,10 +591,12 @@ def main(argv=None) -> int:
         args.workers = _default_workers(parser) if hasattr(args, "workers") else 1
     if hasattr(args, "seeds") and not args.seeds:
         parser.error("--seeds must be non-empty")
-    if hasattr(args, "M"):
-        for M in args.M:
-            if M < 1:
-                parser.error("--M entries must be >= 1")
+    for name, least in _FLAG_MINIMUMS.items():
+        values = getattr(args, name, least)
+        if min(values if isinstance(values, list) else [values], default=least) < least:
+            parser.error(f"--{name.replace('_', '-')} must be >= {least}")
+    if any(mod <= 0 for mod, _ in getattr(args, "z", [])):
+        parser.error("--z moduli must be > 0")
     handlers = {
         "lyapunov": cmd_lyapunov,
         "xi-scaling": cmd_xi_scaling,

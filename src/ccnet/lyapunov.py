@@ -34,11 +34,10 @@ __all__ = [
     "localization_length",
     "thouless_rhs",
     "z_independence_check",
-    "exponent_lower_bounds",
     "xi_upper_bound",
 ]
 
-_NORM_GUARD = 1e100  # early-orthonormalization threshold on column entries
+BATCH_COUNT = 20  # batch means per estimate
 _COND_CAP = 1e8  # largest frame condition number a derived period allows
 # chain-steps of phases drawn per chunk, shared by the chains of a batch so
 # that the phase arrays stay small however many chains step together
@@ -49,12 +48,11 @@ _CHUNK_CHAIN_STEPS = 512
 class CocycleRunConfig:
     """Everything needed to reproduce one spectrum estimate.
 
-    ``reorth_period`` is the number of cocycle steps between
-    orthonormalizations.  ``None`` derives it from the exact per-step
-    condition bound: the largest p with kappa_step^p <= 1e8, clamped to
-    [1, n_steps // batch_count] (see ``effective_reorth_period``).  A frame
-    entry above the overflow guard forces an early orthonormalization
-    whatever the period.
+    The schedule is fixed: a burn-in of 1% of ``n_steps`` (at least one
+    step), ``BATCH_COUNT`` batch means, and a re-orthonormalization period
+    derived from the exact per-step condition bound, the largest p with
+    kappa_step^p <= 1e8, clamped to [1, n_steps // BATCH_COUNT] (see
+    ``effective_reorth_period``).
     """
 
     params: ModelParams
@@ -62,9 +60,6 @@ class CocycleRunConfig:
     n_steps: int
     seed: int
     z: complex = 1.0 + 0.0j
-    reorth_period: int | None = None
-    burn_in: int | None = None  # default: 1% of n_steps
-    batch_count: int = 20
 
     def __post_init__(self):
         self.params.require_transport()
@@ -72,29 +67,17 @@ class CocycleRunConfig:
             raise ValueError("z must be nonzero")
         if self.M < 1:
             raise ValueError("need M >= 1")
-        if self.batch_count < 2:
-            raise ValueError("need batch_count >= 2")
-        if self.n_steps < self.batch_count:
-            raise ValueError("need n_steps >= batch_count")
-        if self.reorth_period is not None:
-            if self.reorth_period < 1:
-                raise ValueError("need reorth_period >= 1")
-            if self.n_steps < self.batch_count * self.reorth_period:
-                raise ValueError("need n_steps >= batch_count * reorth_period")
+        if self.n_steps < BATCH_COUNT:
+            raise ValueError(f"need n_steps >= {BATCH_COUNT}")
 
     @property
     def effective_burn_in(self) -> int:
-        if self.burn_in is not None:
-            return self.burn_in
         return max(1, self.n_steps // 100)
 
     @property
     def effective_reorth_period(self) -> int:
-        if self.reorth_period is not None:
-            return self.reorth_period
-        kappa, _ = _step_bounds(self.z, self.params)
-        period = math.floor(math.log(_COND_CAP) / math.log(kappa))
-        return min(max(1, period), self.n_steps // self.batch_count)
+        period = math.floor(math.log(_COND_CAP) / math.log(_step_condition(self.z, self.params)))
+        return min(max(1, period), self.n_steps // BATCH_COUNT)
 
 
 @dataclass(frozen=True)
@@ -103,7 +86,7 @@ class LyapunovResult:
 
     exponents: np.ndarray  # (2M,), descending
     stderrs: np.ndarray  # (2M,)
-    batch_means: np.ndarray = field(repr=False)  # (batch_count, 2M)
+    batch_means: np.ndarray = field(repr=False)  # (BATCH_COUNT, 2M)
     config: CocycleRunConfig = None
 
     @property
@@ -140,19 +123,21 @@ class LyapunovResult:
         return np.std(diffs, axis=0, ddof=1) / math.sqrt(diffs.shape[0])
 
 
-def _step_bounds(z: complex, params: ModelParams) -> tuple[float, float]:
-    """Exact (condition number, 2-norm) bounds of one cocycle step A_z(p).
+def _step_condition(z: complex, params: ModelParams) -> float:
+    """Exact condition-number bound of one cocycle step A_z(p).
 
     The phase diagonals are unitary, and M1, M2 are (up to a ring
     permutation) block diagonal with M copies of one 2x2 block each, so the
     M = 1 layer matrices carry every singular value: kappa(A) <= kappa(M1)
-    kappa(M2) and ||A|| <= ||M1|| ||M2|| for every M and every draw.  On the
-    circle kappa_step = (1+r)(1+t) / ((1-r)(1-t)).
+    kappa(M2) for every M and every draw.  On the circle kappa_step =
+    (1+r)(1+t) / ((1-r)(1-t)).  Both blocks have |det| = 1, so ||A|| <=
+    ||M1|| ||M2|| = sqrt(kappa_step): over a derived period a frame grows by
+    at most 1e4 and no overflow guard is needed.
     """
     m1, m2 = layer_matrices(z, 1, params)
     s1 = np.linalg.svd(m1, compute_uv=False)
     s2 = np.linalg.svd(m2, compute_uv=False)
-    return float(s1[0] / s1[-1] * (s2[0] / s2[-1])), float(s1[0] * s2[0])
+    return float(s1[0] / s1[-1] * (s2[0] / s2[-1]))
 
 
 def _qr_positive(frames: np.ndarray):
@@ -176,13 +161,12 @@ def lyapunov_spectrum(config: CocycleRunConfig) -> LyapunovResult:
 def lyapunov_spectra(configs) -> list[LyapunovResult]:
     """Estimate the spectra of several chains, stepped in lockstep as one stack.
 
-    Every config must share M, n_steps, the burn-in and batch_count; r, t,
-    z, seed and the period are per chain.  Phases are drawn i.i.d. uniform
-    per layer from each chain's own seeded generator; each frame is
-    re-orthonormalized every ``effective_reorth_period`` steps of its own
-    (or early if a column entry exceeds the overflow guard), with one
-    stacked QR over the chains that are due.  After the burn-in, log
-    diagonals are accumulated into ``batch_count`` contiguous batches, and
+    Every config must share M and n_steps (and so the burn-in); r, t, z,
+    seed and the period are per chain.  Phases are drawn i.i.d. uniform per
+    layer from each chain's own seeded generator; each frame is
+    re-orthonormalized every ``effective_reorth_period`` steps of its own,
+    with one stacked QR over the chains that are due.  After the burn-in,
+    log diagonals are accumulated into ``BATCH_COUNT`` contiguous batches, and
     every frame is orthonormalized at each batch edge so that a batch holds
     the logs of exactly its own steps whatever the period; the
     estimate is total / (2 * n_steps) per exponent and the standard error is
@@ -194,25 +178,17 @@ def lyapunov_spectra(configs) -> list[LyapunovResult]:
     configs = list(configs)
     if not configs:
         return []
-    shape = {(c.M, c.n_steps, c.effective_burn_in, c.batch_count) for c in configs}
+    shape = {(c.M, c.n_steps) for c in configs}
     if len(shape) > 1:
-        raise ValueError("chains in one batch need equal M, n_steps, burn-in and batch_count")
-    ((M, n, burn, nb),) = shape
+        raise ValueError("chains in one batch need equal M and n_steps")
+    ((M, n),) = shape
+    burn, nb = configs[0].effective_burn_in, BATCH_COUNT
     B, two_m = len(configs), 2 * M
     rngs = [np.random.default_rng(c.seed) for c in configs]
     layers = [layer_matrices(c.z, M, c.params) for c in configs]
     m1 = np.stack([a for a, _ in layers])
     m2 = np.stack([b for _, b in layers])
     periods = np.array([c.effective_reorth_period for c in configs])
-    # a frame leaves each QR orthonormal and grows by at most ||A_z||_2 per
-    # step, so the guard can fire only where ||A_z||^period comes near it
-    # (within its square root); the other chains skip the per-step check
-    watched = np.flatnonzero(
-        [
-            p > 1 and p * math.log(_step_bounds(c.z, c.params)[1]) >= 0.5 * math.log(_NORM_GUARD)
-            for c, p in zip(configs, periods)
-        ]
-    )
     frames = np.repeat(np.eye(two_m, dtype=complex)[None], B, axis=0)
     batch_sums = np.zeros((B, nb, two_m))
     batch_cols = np.zeros((B, nb))  # column count (2 per step) accumulated per batch
@@ -256,9 +232,6 @@ def lyapunov_spectra(configs) -> list[LyapunovResult]:
                 orthonormalize(everyone, keep=True)
                 continue
             due = pending >= periods
-            if watched.size:
-                peak = np.max(np.abs(frames[watched]), axis=(-2, -1))
-                due[watched[peak > _NORM_GUARD]] = True
             if due.any():
                 orthonormalize(np.flatnonzero(due), keep=step >= burn)
         done += block
@@ -353,19 +326,6 @@ def z_independence_check(
         combined_sigma=sigma,
         passes=diff <= 3.0 * sigma,
     )
-
-
-def exponent_lower_bounds(kappa: float, delta: float, M: int) -> np.ndarray:
-    """lambda_{j+1} >= kappa - j delta / (M - j) for j = 0 .. M-1.
-
-    Follows from the mean law (mean >= kappa) plus the top bound
-    (lambda_1 <= kappa + delta); vacuous (negative) entries are returned
-    as-is.
-    """
-    if kappa <= 0 or delta < 0:
-        raise ValueError("need kappa > 0 and delta >= 0")
-    j = np.arange(M, dtype=float)
-    return kappa - j * delta / (M - j)
 
 
 def xi_upper_bound(params: ModelParams, M: int):

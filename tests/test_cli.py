@@ -206,6 +206,32 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["lyapunov", "--workers", "0"], "--workers"),
+        (["lyapunov", "--steps", "10"], "--steps"),
+        (["xi-scaling", "--steps", "19"], "--steps"),
+        (["lyapunov", "--z", "0,0"], "--z"),
+        (["lyapunov", "--M", "1,0"], "--M"),
+        (["decay", "--max-fits", "0"], "--max-fits"),
+        (["dos", "--moments", "0"], "--moments"),
+        (["dos", "--bins", "-3"], "--bins"),
+        (["det-check", "--L", "-1"], "--L"),
+        (["bands", "--nx", "0"], "--nx"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    # rejected as usage errors up front, not by a ZeroDivisionError or
+    # ValueError traceback from inside the run
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_config_file_defaults_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep defaults\nr = 0.6\nsteps = 3000\nseeds = 9\nM = 1\n")

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from ccnet import (
     LyapunovResult,
     ModelParams,
     cocycle_step,
-    exponent_lower_bounds,
     localization_length,
     lyapunov_spectra,
     lyapunov_spectrum,
@@ -20,7 +20,7 @@ from ccnet import (
     z_independence_check,
 )
 from ccnet import lyapunov
-from ccnet.lyapunov import _COND_CAP, _NORM_GUARD, _qr_positive, _step_bounds
+from ccnet.lyapunov import BATCH_COUNT, _COND_CAP, _qr_positive, _step_condition
 from ccnet.transfer import _apply_layer, _split_slots, layer_matrices
 
 HALF_LOG_2 = 0.5 * math.log(2.0)  # mean exponent at the self-dual point
@@ -41,7 +41,7 @@ def _reference_spectrum(config):
 
     n = config.n_steps
     burn = config.effective_burn_in
-    nb = config.batch_count
+    nb = BATCH_COUNT
     period = config.effective_reorth_period
     batch_sums = np.zeros((nb, two_m))
     batch_cols = np.zeros(nb)
@@ -61,10 +61,7 @@ def _reference_spectrum(config):
             if step >= burn:
                 pending_batch = min(nb - 1, (step - burn) * nb // n)
             edge = step >= burn and (step + 1 - burn) * nb // n > pending_batch
-            due = pending >= period or step == burn - 1 or edge
-            if not due and period > 1:
-                due = np.max(np.abs(frame)) > _NORM_GUARD
-            if due:
+            if pending >= period or step == burn - 1 or edge:
                 frame, logs = _qr_positive(frame)
                 if step >= burn:
                     batch_sums[pending_batch] += logs
@@ -123,22 +120,6 @@ def test_thouless_rhs_rejects_zero(critical):
         thouless_rhs(0.0, critical)
 
 
-def test_exponent_lower_bounds_values():
-    bounds = exponent_lower_bounds(0.34657, 0.535, 4)
-    assert bounds[0] == pytest.approx(0.34657, abs=1e-12)
-    assert bounds[1] == pytest.approx(0.16824, abs=5e-6)
-    assert np.all(np.diff(bounds) < 0)
-
-
-def test_exponent_lower_bounds_zero_delta():
-    assert np.allclose(exponent_lower_bounds(0.2, 0.0, 5), 0.2)
-
-
-def test_exponent_lower_bounds_validation():
-    with pytest.raises(ValueError):
-        exponent_lower_bounds(-1.0, 0.1, 3)
-
-
 def test_xi_upper_bound_m1(critical):
     assert xi_upper_bound(critical, 1) == pytest.approx(2.885390, abs=5e-7)
 
@@ -166,9 +147,7 @@ def test_config_rejects_bad_shapes(critical):
     with pytest.raises(ValueError):
         CocycleRunConfig(params=critical, M=0, n_steps=100, seed=1)
     with pytest.raises(ValueError):
-        CocycleRunConfig(params=critical, M=2, n_steps=100, seed=1, batch_count=1)
-    with pytest.raises(ValueError):
-        CocycleRunConfig(params=critical, M=2, n_steps=10, seed=1, batch_count=20)
+        CocycleRunConfig(params=critical, M=2, n_steps=BATCH_COUNT - 1, seed=1)
     with pytest.raises(ValueError):
         CocycleRunConfig(params=critical, M=2, n_steps=100, seed=1, z=0.0)
 
@@ -181,6 +160,17 @@ def _run(params, M, n, seed, **kw):
     return lyapunov_spectrum(
         CocycleRunConfig(params=params, M=M, n_steps=n, seed=seed, **kw)
     )
+
+
+@contextlib.contextmanager
+def _period_one():
+    """Derive every period as 1 inside the block: a condition cap of 1 admits one step.
+
+    The period-1 engine is the reference the derived periods are held to.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lyapunov, "_COND_CAP", 1.0)
+        yield
 
 
 def test_spectrum_deterministic(critical):
@@ -214,31 +204,23 @@ def test_spectrum_norm_cap(critical):
 
 
 def test_spectrum_reorth_period_consistency(critical):
-    base = _run(critical, 2, 30_000, 9, reorth_period=1)
-    coarse = _run(critical, 2, 30_000, 9, reorth_period=5)
+    coarse = _run(critical, 2, 30_000, 9)
+    assert coarse.config.effective_reorth_period == 5
+    with _period_one():
+        base = _run(critical, 2, 30_000, 9)
     assert np.max(np.abs(base.exponents - coarse.exponents)) <= 4 * np.max(
         base.stderrs + coarse.stderrs
     )
 
 
 def test_spectrum_overflow_guard_off_circle(critical):
-    # |z| = 2 grows like e^{2.08} per step: an un-guarded product over 500
-    # steps would overflow; the early orthonormalization keeps it finite and
-    # leaves the estimate intact
-    calls = []
-
-    def counted(frames):
-        calls.append(1)
-        return _qr_positive(frames)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lyapunov, "_qr_positive", counted)
-        guarded = _run(critical, 2, 10_000, 21, z=2.0, reorth_period=500)
+    # |z| = 2 grows like e^{2.08} per step; the derived period is the guard:
+    # a step grows a frame by at most sqrt(kappa_step), so the 3 steps
+    # between orthonormalizations stay below 1e4 and the estimate is intact
+    guarded = _run(critical, 2, 10_000, 21, z=2.0)
+    assert guarded.config.effective_reorth_period == 3
     assert np.all(np.isfinite(guarded.exponents))
     assert abs(guarded.mean_top() - thouless_rhs(2.0, critical)) <= 0.02
-    # 10_100 steps at period 500 would take 22 orthonormalizations; the guard
-    # fires about every 110 steps (1e100 = e^230 at a top growth of 2.08)
-    assert len(calls) > 60
 
 
 def test_spectrum_stderr_shrinks_with_n(critical):
@@ -262,60 +244,57 @@ def test_gammas_and_gaps(critical):
 # batched engine against the single-chain oracle
 
 
-def _config(r, M, n, seed, z=1.0, period=None, **kw):
-    return CocycleRunConfig(
-        params=ModelParams.from_r(r), M=M, n_steps=n, seed=seed, z=z, reorth_period=period, **kw
-    )
+def _config(r, M, n, seed, z=1.0):
+    return CocycleRunConfig(params=ModelParams.from_r(r), M=M, n_steps=n, seed=seed, z=z)
 
 
 def test_engine_matches_reference_at_period_one():
     mixed = [
-        _config(0.6, 3, 1500, 1, period=1),
-        _config(0.3, 3, 1500, 2, z=0.5, period=1),
-        _config(0.95, 3, 1500, 3, z=2.0, period=1),
+        _config(0.6, 3, 1500, 1),
+        _config(0.3, 3, 1500, 2, z=0.5),
+        _config(0.95, 3, 1500, 3, z=2.0),
         _config(0.6, 3, 1500, 4),
-        _config(0.7071067811865476, 3, 1500, 5, z=np.exp(0.2j * np.pi), period=7),
+        _config(0.7071067811865476, 3, 1500, 5, z=np.exp(0.2j * np.pi)),
     ]
-    batch = lyapunov_spectra(mixed)
-    for config, result in zip(mixed[:3], batch[:3]):
-        exponents, stderrs = _reference_spectrum(config)
-        alone = lyapunov_spectrum(config)
-        for got in (alone, result):
-            assert np.array_equal(got.exponents, exponents)
-            assert np.array_equal(got.stderrs, stderrs)
+    with _period_one():
+        batch = lyapunov_spectra(mixed)
+        for config, result in zip(mixed[:3], batch[:3]):
+            assert config.effective_reorth_period == 1
+            exponents, stderrs = _reference_spectrum(config)
+            alone = lyapunov_spectrum(config)
+            for got in (alone, result):
+                assert np.array_equal(got.exponents, exponents)
+                assert np.array_equal(got.stderrs, stderrs)
 
 
 def test_engine_matches_reference_at_other_periods():
     configs = [
         _config(0.6, 2, 4000, 11),
         _config(0.6, 2, 4000, 12, z=0.5),
-        _config(0.6, 2, 4000, 13, period=9),
-        # top growth e^2.2 per step: the overflow guard (e^230) fires before step 200
-        _config(0.5, 2, 4000, 14, z=2.0, period=200),
+        _config(0.3, 2, 4000, 13),
+        _config(0.5, 2, 4000, 14, z=2.0),
     ]
+    assert [c.effective_reorth_period for c in configs] == [5, 3, 4, 3]
     batch = lyapunov_spectra(configs)
     for config, result in zip(configs, batch):
         exponents, stderrs = _reference_spectrum(config)
         assert np.array_equal(result.exponents, exponents)
         assert np.array_equal(result.stderrs, stderrs)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lyapunov, "_NORM_GUARD", math.inf)
-        unguarded = lyapunov_spectra(configs)
-    assert [_same(a, b) for a, b in zip(batch, unguarded)] == [True, True, True, False]
 
 
+# the derived periods of these cells are 5 on the circle at r = 0.6 and
+# sqrt(1/2), 4 at r = 0.3 and 0.95, and 3 at |z| = 0.5 or 2
 _CELL = st.tuples(
     st.sampled_from([0.3, 0.6, 0.7071067811865476, 0.95]),
     st.sampled_from([1.0, np.exp(0.2j * np.pi), np.exp(-0.7j), 0.5, 2.0, 0.8 * np.exp(1.1j)]),
     st.integers(0, 10_000),
-    st.sampled_from([None, None, 1, 2, 3, 8, 20]),
 )
 
 
 @settings(max_examples=25, deadline=None)
 @given(M=st.integers(1, 3), cells=st.lists(_CELL, min_size=1, max_size=5))
 def test_batch_composition_does_not_change_any_cell(M, cells):
-    configs = [_config(r, M, 400, seed, z=z, period=period) for r, z, seed, period in cells]
+    configs = [_config(r, M, 400, seed, z=z) for r, z, seed in cells]
     for config, result in zip(configs, lyapunov_spectra(configs)):
         assert _same(result, lyapunov_spectrum(config))
         assert result.config is config
@@ -331,10 +310,12 @@ def test_derived_period_agrees_with_reference(M):
         for r in (0.3, 0.6, math.sqrt(0.5), 0.95)
         for z in (1.0, np.exp(0.2j * np.pi), 0.5, 2.0)
     ]
-    derived = lyapunov_spectra([_config(r, M, 8000, 3, z=z) for r, z in grid])
+    configs = [_config(r, M, 8000, 3, z=z) for r, z in grid]
+    derived = lyapunov_spectra(configs)
     # the period-1 engine is bitwise the reference loop (see the test above)
     # and runs the 16 chains in one batch
-    reference = lyapunov_spectra([_config(r, M, 8000, 3, z=z, period=1) for r, z in grid])
+    with _period_one():
+        reference = lyapunov_spectra(configs)
     for got, want in zip(derived, reference):
         assert np.max(np.abs(got.exponents - want.exponents)) <= 1e-9
 
@@ -345,8 +326,10 @@ def test_batch_edge_flush_keeps_stderrs_at_derived_period(M):
     # 125-step batches, so without the edge flush up to two steps' logs land
     # in the next batch and moved stderr_k by about 10% relative
     grid = [(r, 0.5) for r in (0.6, math.sqrt(0.5))]
-    derived = lyapunov_spectra([_config(r, M, 2500, 1, z=z) for r, z in grid])
-    reference = lyapunov_spectra([_config(r, M, 2500, 1, z=z, period=1) for r, z in grid])
+    configs = [_config(r, M, 2500, 1, z=z) for r, z in grid]
+    derived = lyapunov_spectra(configs)
+    with _period_one():
+        reference = lyapunov_spectra(configs)
     for got, want in zip(derived, reference):
         assert got.config.effective_reorth_period == 3
         assert np.max(np.abs(got.stderrs - want.stderrs) / want.stderrs) <= 1e-9
@@ -358,8 +341,6 @@ def test_spectra_rejects_mixed_shapes():
         lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 3, 200, 1)])
     with pytest.raises(ValueError):
         lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 2, 400, 1)])
-    with pytest.raises(ValueError):
-        lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 2, 200, 1, batch_count=10)])
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +353,24 @@ def test_step_condition_closed_form_on_circle(r):
     t = params.t
     closed = (1 + r) * (1 + t) / ((1 - r) * (1 - t))
     for z in (1.0, np.exp(0.3j), np.exp(-2.5j)):
-        kappa, norm = _step_bounds(z, params)
-        assert kappa == pytest.approx(closed, rel=1e-12)
-        assert norm == pytest.approx((1 + r) * (1 + t) / (r * t), rel=1e-12)
+        assert _step_condition(z, params) == pytest.approx(closed, rel=1e-12)
+    # both 2x2 blocks have |det| = 1, so ||A_z|| <= ||M1|| ||M2|| = sqrt(kappa_step)
+    # at every M and z: over a derived period a frame grows by at most 1e4
+    for z in (1.0, np.exp(0.3j), 0.5, 2.0 * np.exp(-0.7j)):
+        m1, m2 = layer_matrices(z, 3, params)
+        norm = np.linalg.norm(m1, 2) * np.linalg.norm(m2, 2)
+        assert norm == pytest.approx(math.sqrt(_step_condition(z, params)), rel=1e-12)
 
 
 def test_derived_period_values():
     lopsided = ModelParams.from_r(0.6)
-    assert _step_bounds(1.0, lopsided)[0] == pytest.approx(36.0, rel=1e-12)
-    assert _step_bounds(0.5, lopsided)[0] == pytest.approx(117.0, abs=0.5)
+    assert _step_condition(1.0, lopsided) == pytest.approx(36.0, rel=1e-12)
+    assert _step_condition(0.5, lopsided) == pytest.approx(117.0, abs=0.5)
     assert _config(0.6, 4, 10_000, 1).effective_reorth_period == 5
     assert _config(0.6, 4, 10_000, 1, z=0.5).effective_reorth_period == 3
-    # clamped to n_steps // batch_count, and to at least 1
+    # clamped to n_steps // BATCH_COUNT, and to at least 1
     assert _config(0.6, 4, 60, 1).effective_reorth_period == 3
     assert _config(0.999, 1, 10_000, 1, z=20.0).effective_reorth_period == 1
-    # an explicit period is honoured
-    assert _config(0.6, 4, 10_000, 1, period=1).effective_reorth_period == 1
-    assert _config(0.6, 4, 10_000, 1, period=17).effective_reorth_period == 17
-    with pytest.raises(ValueError):
-        _config(0.6, 4, 100, 1, period=6)
 
 
 @pytest.mark.parametrize(
@@ -409,22 +389,27 @@ def test_derived_period_keeps_frame_condition_below_cap(r, z):
             frame = cocycle_step(z, LayerPhases.random(rng, 3), params).matrix @ frame
         worst = max(worst, np.linalg.cond(frame))
     assert worst <= _COND_CAP
-    assert worst <= _step_bounds(z, params)[0] ** period * (1 + 1e-9)
+    assert worst <= _step_condition(z, params) ** period * (1 + 1e-9)
 
 
-def test_explicit_period_sets_the_orthonormalization_count(critical):
+def test_derived_period_sets_the_orthonormalization_count():
     counts = []
 
     def counted(frames):
         counts.append(frames.shape[0])
         return _qr_positive(frames)
 
+    configs = [_config(0.6, 2, 700, 1), _config(0.6, 2, 700, 2, z=0.5)]
+    assert [c.effective_reorth_period for c in configs] == [5, 3]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lyapunov, "_qr_positive", counted)
-        lyapunov_spectra([_config(0.6, 2, 700, 1, period=7), _config(0.6, 2, 700, 2, period=1)])
-    # 7 burn-in steps, flushed at step 6, then 700 kept steps: the first chain
-    # is due every 7th step, the second at every step
-    assert sum(counts) == (1 + 100) + (7 + 700)
+        lyapunov_spectra(configs)
+    # 7 burn-in steps, flushed at step 6: the period-5 chain is due once
+    # before (step 4), the period-3 chain twice (steps 2, 5).  Then 20 batches
+    # of 35 kept steps, each closed by a flush: per batch the period-5 chain
+    # takes 35 / 5 = 7 QRs (the 7th is the flush) and the period-3 chain
+    # floor(35 / 3) + 1 = 12
+    assert sum(counts) == (1 + 1) + (2 + 1) + 20 * (7 + 12)
 
 
 # ---------------------------------------------------------------------------
