@@ -59,6 +59,7 @@ _FLAG_MINIMUMS = {
     "max_fits": 1,
     "nx": 1,
     "ny": 1,
+    "z_count": 1,
 }
 
 
@@ -67,9 +68,12 @@ def _default_workers(parser: argparse.ArgumentParser) -> int:
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
         parser.error(f"CCNET_WORKERS must be an integer, got {env!r}")
+    if workers < 1:
+        parser.error(f"CCNET_WORKERS must be >= 1, got {env!r}")
+    return workers
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -269,7 +273,7 @@ def cmd_dos(args, parser) -> int:
     rows = []
     ok = True
     for k in range(args.moments):
-        value = abs(hist.moments[k])
+        value = float(abs(hist.moments[k]))
         passed = value <= args.moment_tol
         ok &= passed
         rows.append(
@@ -500,7 +504,12 @@ def _add_common(sub):
     sub.add_argument("--config", help="flat key=value config file; flags win")
     sub.add_argument("--out", help="output path (stdout summary if omitted)")
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--workers", type=int, default=None, help="parallel cells (env CCNET_WORKERS)")
+    sub.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="lyapunov/xi-scaling worker processes (env CCNET_WORKERS); other commands ignore it",
+    )
     sub.add_argument("--r", type=_parse_floats, default=None, help="comma list of r values")
     sub.add_argument("--M", type=_parse_ints, default=[2], help="comma list of strip half-widths")
     sub.add_argument("--L", type=int, default=2, help="window half-length parameter")

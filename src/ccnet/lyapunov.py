@@ -48,11 +48,13 @@ _CHUNK_CHAIN_STEPS = 512
 class CocycleRunConfig:
     """Everything needed to reproduce one spectrum estimate.
 
-    The schedule is fixed: a burn-in of 1% of ``n_steps`` (at least one
-    step), ``BATCH_COUNT`` batch means, and a re-orthonormalization period
-    derived from the exact per-step condition bound, the largest p with
+    The schedule is fixed: a burn-in segment of 1% of ``n_steps`` (at least
+    one step), then ``BATCH_COUNT`` batch segments of ``n_steps / BATCH_COUNT``
+    steps rounded up or down, and a re-orthonormalization period derived
+    from the exact per-step condition bound, the largest p with
     kappa_step^p <= 1e8, clamped to [1, n_steps // BATCH_COUNT] (see
-    ``effective_reorth_period``).
+    ``effective_reorth_period``).  A chain takes a QR every period steps
+    into a segment and at each segment's last step.
     """
 
     params: ModelParams
@@ -150,6 +152,19 @@ def _qr_positive(frames: np.ndarray):
     return q, np.log(absd)
 
 
+def _phase_stream(rngs, M: int, steps: int):
+    """Yield each step's (p_r, p_m, p_l) slot phases, stacked over the chains.
+
+    Phases are drawn in chunks of at most ``_CHUNK_CHAIN_STEPS`` chain-steps;
+    each generator's stream does not depend on the chunking.
+    """
+    chunk = max(1, _CHUNK_CHAIN_STEPS // len(rngs))
+    for done in range(0, steps, chunk):
+        block = min(chunk, steps - done)
+        uni = np.stack([rng.random((block, 4 * M)) for rng in rngs], axis=1)
+        yield from zip(*_split_slots(np.exp(2j * np.pi * uni)))
+
+
 def lyapunov_spectrum(config: CocycleRunConfig) -> LyapunovResult:
     """Estimate the full 2M Lyapunov spectrum of the cocycle at config.z.
 
@@ -161,14 +176,15 @@ def lyapunov_spectrum(config: CocycleRunConfig) -> LyapunovResult:
 def lyapunov_spectra(configs) -> list[LyapunovResult]:
     """Estimate the spectra of several chains, stepped in lockstep as one stack.
 
-    Every config must share M and n_steps (and so the burn-in); r, t, z,
+    Every config must share M and n_steps (and so the segments); r, t, z,
     seed and the period are per chain.  Phases are drawn i.i.d. uniform per
-    layer from each chain's own seeded generator; each frame is
-    re-orthonormalized every ``effective_reorth_period`` steps of its own,
-    with one stacked QR over the chains that are due.  After the burn-in,
-    log diagonals are accumulated into ``BATCH_COUNT`` contiguous batches, and
-    every frame is orthonormalized at each batch edge so that a batch holds
-    the logs of exactly its own steps whatever the period; the
+    layer from each chain's own seeded generator.  The steps run as
+    segments: the burn-in, whose logs are dropped, then ``BATCH_COUNT``
+    batches, batch b holding the kept steps from ceil(b n / nb) up to
+    ceil((b+1) n / nb) exclusive.  Within a segment a chain is re-orthonormalized every
+    ``effective_reorth_period`` steps, with one stacked QR over the chains
+    that are due, and every chain at the segment's last step, so a batch
+    holds the logs of exactly its own steps whatever the period.  The
     estimate is total / (2 * n_steps) per exponent and the standard error is
     the batch-means spread.  Exponents are returned sorted descending
     together with the matching stderr permutation, one result per config in
@@ -191,57 +207,30 @@ def lyapunov_spectra(configs) -> list[LyapunovResult]:
     periods = np.array([c.effective_reorth_period for c in configs])
     frames = np.repeat(np.eye(two_m, dtype=complex)[None], B, axis=0)
     batch_sums = np.zeros((B, nb, two_m))
-    batch_cols = np.zeros((B, nb))  # column count (2 per step) accumulated per batch
     total = np.zeros((B, two_m))
-    pending = np.zeros(B, dtype=int)  # steps since each chain's last orthonormalization
-    pending_batch = 0
-
-    def orthonormalize(due: np.ndarray, keep: bool) -> None:
-        nonlocal frames
-        if due.size == B:
-            frames, logs = _qr_positive(frames)
-        else:
-            q, logs = _qr_positive(frames[due])
-            frames[due] = q
-        if keep:
-            batch_sums[due, pending_batch] += logs
-            batch_cols[due, pending_batch] += 2 * pending[due]
-            total[due] += logs
-        pending[due] = 0
-
+    # batch b holds kept steps edges[b] .. edges[b+1] - 1, edges[b] = ceil(b n / nb)
+    edges = [-(-b * n // nb) for b in range(nb + 1)]
+    sizes = np.diff(edges)
+    phases = _phase_stream(rngs, M, burn + n)
     everyone = np.arange(B)
-    chunk = max(1, _CHUNK_CHAIN_STEPS // B)
-    done = 0
-    while done < burn + n:
-        block = min(chunk, burn + n - done)
-        # (block, B, 4M); each generator's stream does not depend on the chunking
-        uni = np.stack([rng.random((block, 4 * M)) for rng in rngs], axis=1)
-        p_r, p_m, p_l = _split_slots(np.exp(2j * np.pi * uni))
-        for i in range(block):
-            frames = _apply_layer(m1, m2, p_r[i], p_m[i], p_l[i], frames)
-            step = done + i
-            pending += 1
-            if step >= burn:
-                pending_batch = (step - burn) * nb // n
-            # flush at the burn-in boundary so discarded and kept logs never mix
-            if step == burn - 1:
-                orthonormalize(everyone, keep=False)
-                continue
-            # and at each batch edge, so every batch holds exactly its own steps
-            if step >= burn and (step + 1 - burn) * nb // n > pending_batch:
-                orthonormalize(everyone, keep=True)
-                continue
-            due = pending >= periods
-            if due.any():
-                orthonormalize(np.flatnonzero(due), keep=step >= burn)
-        done += block
-    if pending.any():
-        orthonormalize(np.flatnonzero(pending), keep=True)
+    # segment -1 is the burn-in, whose logs are dropped
+    for batch, length in enumerate([burn, *sizes.tolist()], start=-1):
+        for j in range(1, length + 1):
+            frames = _apply_layer(m1, m2, *next(phases), frames)
+            due = everyone if j == length else np.flatnonzero(j % periods == 0)
+            if due.size == B:
+                frames, logs = _qr_positive(frames)
+            elif due.size:
+                q, logs = _qr_positive(frames[due])
+                frames[due] = q
+            if due.size and batch >= 0:
+                batch_sums[due, batch] += logs
+                total[due] += logs
 
     results = []
-    for c, chain_total, sums, cols in zip(configs, total, batch_sums, batch_cols):
+    for c, chain_total, sums in zip(configs, total, batch_sums):
         exponents = chain_total / (2.0 * n)
-        batch_means = sums / cols[:, None]
+        batch_means = sums / (2.0 * sizes[:, None])  # two lattice columns per step
         order = np.argsort(exponents)[::-1]
         exponents = exponents[order]
         batch_means = batch_means[:, order]

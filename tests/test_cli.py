@@ -166,8 +166,10 @@ def test_lyapunov_rejects_extreme_r(capsys):
     assert err.value.code == 2
 
 
-def test_workers_env_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("CCNET_WORKERS", "abc")
+@pytest.mark.parametrize("env", ["abc", "0", "-3"])
+def test_workers_env_must_be_integer(monkeypatch, capsys, env):
+    # a non-integer or non-positive worker count is a usage error, as for --workers
+    monkeypatch.setenv("CCNET_WORKERS", env)
     with pytest.raises(SystemExit) as err:
         main(["lyapunov", "--r", "0.6", "--M", "1", "--steps", "1000", "--seeds", "1"])
     assert err.value.code == 2
@@ -219,6 +221,7 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
         (["dos", "--bins", "-3"], "--bins"),
         (["det-check", "--L", "-1"], "--L"),
         (["bands", "--nx", "0"], "--nx"),
+        (["det-check", "--z-count", "0"], "--z-count"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -270,6 +273,13 @@ def test_det_check_command(tmp_path):
     rows = read_records(out, "csv")
     assert len(rows) == 4
     assert all(row["lambda_k"] <= 1e-8 for row in rows if row["status"] == "ok")
+
+
+def test_dos_stdout_shows_plain_floats(capsys):
+    main(["dos", "--M", "1", "--L", "1", "--moments", "2", "--bins", "1"])
+    out = capsys.readouterr().out
+    assert "'lambda_k': " in out
+    assert "np.float64" not in out
 
 
 def test_dos_command_and_histogram(tmp_path):
