@@ -40,6 +40,7 @@ from .lyapunov import (
 )
 from .records import ResultRecord, canonical_row, emit
 from .spectral import (
+    _DET_IDENTITY_TOL,
     band_grid,
     determinant_identity_residual,
     dos_moments,
@@ -352,11 +353,11 @@ def cmd_det_check(args, parser) -> int:
                     lambda_k=check.rel_error,
                     status=check.status
                     if check.status != "ok"
-                    else ("ok" if check.rel_error <= args.tol else "FAIL"),
+                    else ("ok" if check.rel_error <= _DET_IDENTITY_TOL else "FAIL"),
                 )
             )
     _record(args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds, z_count=args.z_count)
-    return 0 if worst <= args.tol else 1
+    return 0 if worst <= _DET_IDENTITY_TOL else 1
 
 
 def cmd_bands(args, parser) -> int:
@@ -549,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     det = subs.add_parser("det-check", help="determinant identity residuals")
     _add_common(det)
     det.add_argument("--z-count", type=int, default=20)
-    det.add_argument("--tol", type=float, default=1e-8)
 
     bands = subs.add_parser("bands", help="trivial-phase symbol eigenphases")
     _add_common(bands)
@@ -604,8 +604,11 @@ def main(argv=None) -> int:
         values = getattr(args, name, least)
         if min(values if isinstance(values, list) else [values], default=least) < least:
             parser.error(f"--{name.replace('_', '-')} must be >= {least}")
-    if any(mod <= 0 for mod, _ in getattr(args, "z", [])):
-        parser.error("--z moduli must be > 0")
+    # comparisons with nan are false, so these also reject non-finite values
+    if not all(0 < mod < math.inf and math.isfinite(arg) for mod, arg in getattr(args, "z", [])):
+        parser.error("--z moduli must be finite and > 0, angles finite")
+    if not 0 < getattr(args, "moment_tol", 1.0) < math.inf:
+        parser.error("--moment-tol must be finite and > 0")
     handlers = {
         "lyapunov": cmd_lyapunov,
         "xi-scaling": cmd_xi_scaling,

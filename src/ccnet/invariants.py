@@ -25,6 +25,7 @@ from .model import (
     scattering_matrix,
 )
 from .spectral import (
+    _DET_IDENTITY_TOL,
     band_grid,
     build_parity_operators,
     determinant_identity_residual,
@@ -137,7 +138,7 @@ def determinant_identity(field_seeds, z_offset, z_per_field):
                 continue
             worst = max(worst, check.rel_error)
             done += 1
-    return worst <= 1e-8, f"max relative error {worst:.2e}"
+    return worst <= _DET_IDENTITY_TOL, f"max relative error {worst:.2e}"
 
 
 def transfer_reconstruction(trials, seed, field_seed):

@@ -23,7 +23,7 @@ from .model import (
     build_cylinder_operator,
     sample_phase_field,
 )
-from .transfer import propagate
+from .transfer import _ring_pairs, propagate
 
 __all__ = [
     "SpectrumResult",
@@ -370,17 +370,20 @@ def dos_moments(
 
 # ---------------------------------------------------------------------------
 # wall operators and the determinant identity
+_DET_IDENTITY_TOL = 1e-8  # largest relative error of the identity that passes
 
 
 @dataclass(frozen=True)
 class ParityOperators:
     """The ring-pair swap K and the wall operators at parameter z.
 
-    K swaps each pair (2k, 2k+1); W_z maps the even subspace onto the left
-    wall space F_z = {psi_{2k+1} = z psi_{2k+2}} and V_z the even subspace
-    onto the complement of the right wall space G_z.  The algebra W_z^2 = 1
-    and V_z^{-1} = K V_z K holds for every z != 0 and pins 1/z (not conj z)
-    as the inverse slot.
+    Each is one 2x2 block on every ring pair, with s = 1/sqrt(2): K =
+    [[0, 1], [1, 0]] and V_z = s[[z, 1], [-1, 1/z]] on the pairs (2k, 2k+1),
+    W_z = s[[-1, z], [1/z, 1]] on the shifted pairs (2k+1, 2k+2 mod 2M).
+    W_z maps the even subspace onto the left wall space F_z = {psi_{2k+1} =
+    z psi_{2k+2}} and V_z the even subspace onto the complement of the right
+    wall space G_z.  The algebra W_z^2 = 1 and V_z^{-1} = K V_z K holds for
+    every z != 0 and pins 1/z (not conj z) as the inverse slot.
     """
 
     z: complex
@@ -405,26 +408,10 @@ def build_parity_operators(z: complex, M: int) -> ParityOperators:
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
-    two_m = 2 * M
     s = 1.0 / math.sqrt(2.0)
-    w = np.zeros((two_m, two_m), dtype=complex)
-    v = np.zeros((two_m, two_m), dtype=complex)
-    k_swap = np.zeros((two_m, two_m))
-    # entry (2k+i, 2k+j) sits at i*2M + j + k*step of the flat matrix; a
-    # slice stops at the last row, so the wrapped pair of W is set apart
-    fw, fv, fk, step = w.reshape(-1), v.reshape(-1), k_swap.reshape(-1), 2 * two_m + 2
-    fw[two_m + 2 :: step] = z * s  # (2k+1, 2k+2), k < M-1
-    fw[0::step] = s  # (2k+2, 2k+2), ring 0 for k = M-1
-    fw[two_m + 1 :: step] = -s  # (2k+1, 2k+1)
-    fw[2 * two_m + 1 :: step] = s / z  # (2k+2, 2k+1), k < M-1
-    w[-1, 0] = z * s
-    w[0, -1] = s / z
-    fv[0::step] = z * s  # (2k, 2k)
-    fv[two_m::step] = -s  # (2k+1, 2k)
-    fv[1::step] = s  # (2k, 2k+1)
-    fv[two_m + 1 :: step] = s / z  # (2k+1, 2k+1)
-    fk[1::step] = 1.0  # (2k, 2k+1)
-    fk[two_m::step] = 1.0  # (2k+1, 2k)
+    w = _ring_pairs(-s, z * s, s / z, s, M, shifted=True)
+    v = _ring_pairs(z * s, s, -s, s / z, M, shifted=False)
+    k_swap = _ring_pairs(0.0, 1.0, 1.0, 0.0, M, shifted=False)
     return ParityOperators(z=z, k_swap=k_swap, v=v, w=w)
 
 
@@ -579,10 +566,10 @@ class DecayFit:
 def eigenvector_decay_fit(result: SpectrumResult, index: int) -> DecayFit:
     """Fit log column norms against distance from the peak column.
 
-    Tail window: columns at distance >= L/4 from the peak whose norm sits
-    above the numerical floor (1e-13 of the peak).  A slope is reported
-    only when the fit explains the tail (R^2 >= 0.9); profiles supported on
-    fewer than three columns are reported as compact.
+    Tail window: columns at distance >= max(2, L // 4) from the peak whose
+    norm sits above the numerical floor (1e-13 of the peak).  A slope is
+    reported only when the fit explains the tail (R^2 >= 0.9); profiles
+    supported on fewer than three columns are reported as compact.
     """
     if result.eigenvectors is None:
         raise ValueError("SpectrumResult carries no eigenvectors")

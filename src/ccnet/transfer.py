@@ -61,6 +61,27 @@ def _check_phases(q, n: int) -> np.ndarray:
     return q
 
 
+def _ring_pairs(a, b, c, d, M: int, shifted: bool) -> np.ndarray:
+    """The 2M x 2M matrix with the block [[a, b], [c, d]] on every ring pair.
+
+    The pairs are (2k, 2k+1), or (2k+1, 2k+2 mod 2M) when ``shifted``.  The
+    dtype is the type of a + b + c + d (a microsecond cheaper than
+    np.result_type): complex if one entry is, else float.
+    """
+    two_m = 2 * M
+    out = np.zeros((two_m, two_m), dtype=type(a + b + c + d))
+    # entry (2k+i, 2k+j) sits at i*2M + j + k*step of the flat matrix; a slice
+    # stops at the last row, so the wrapped pair's b and c are set apart
+    flat, step, first = out.reshape(-1), 2 * two_m + 2, (two_m + 1) * shifted
+    flat[first::step] = a
+    flat[first + 1 :: step] = b
+    flat[first + two_m :: step] = c
+    flat[(first + two_m + 1) % step :: step] = d  # the wrapped d sits at (0, 0)
+    if shifted:
+        out[-1, 0], out[0, -1] = b, c
+    return out
+
+
 def layer_matrices(z: complex, M: int, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The bare 2M x 2M layer factors (M1(z), M2(z)).
 
@@ -73,22 +94,9 @@ def layer_matrices(z: complex, M: int, params: ModelParams) -> tuple[np.ndarray,
     params.require_transport()
     if M < 1:
         raise ValueError("need M >= 1")
-    two_m = 2 * M
-    m1 = np.zeros((two_m, two_m), dtype=complex)
-    m2 = np.zeros((two_m, two_m), dtype=complex)
-    # entry (2k+i, 2k+j) sits at i*2M + j + k*step of the flat matrix; a
-    # slice stops at the last row, so the wrapped pair of M2 is set apart
-    f1, f2, step = m1.reshape(-1), m2.reshape(-1), 2 * two_m + 2
-    f1[0::step] = (1.0 / z) / params.t  # (2k, 2k)
-    f1[1::step] = -params.r / params.t  # (2k, 2k+1)
-    f1[two_m::step] = -params.r / params.t  # (2k+1, 2k)
-    f1[two_m + 1 :: step] = z / params.t  # (2k+1, 2k+1)
-    f2[two_m + 1 :: step] = z / params.r  # (2k+1, 2k+1)
-    f2[two_m + 2 :: step] = -params.t / params.r  # (2k+1, 2k+2), k < M-1
-    f2[2 * two_m + 1 :: step] = params.t / params.r  # (2k+2, 2k+1), k < M-1
-    f2[0::step] = (-1.0 / z) / params.r  # (2k+2, 2k+2), ring 0 for k = M-1
-    m2[-1, 0] = -params.t / params.r
-    m2[0, -1] = params.t / params.r
+    r, t = params.r, params.t
+    m1 = _ring_pairs((1.0 / z) / t, -r / t, -r / t, z / t, M, shifted=False)
+    m2 = _ring_pairs(z / r, -t / r, t / r, (-1.0 / z) / r, M, shifted=True)
     return m1, m2
 
 

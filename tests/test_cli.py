@@ -222,6 +222,9 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
         (["det-check", "--L", "-1"], "--L"),
         (["bands", "--nx", "0"], "--nx"),
         (["det-check", "--z-count", "0"], "--z-count"),
+        (["lyapunov", "--z", "nan,0"], "--z"),
+        (["lyapunov", "--z", "1,inf"], "--z"),
+        (["dos", "--moment-tol", "nan"], "--moment-tol"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -232,6 +235,15 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, flag):
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
     assert f"error: {flag} " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_det_check_tolerance_is_not_a_flag(tmp_path, capsys):
+    # the determinant identity's tolerance is fixed, not configurable
+    with pytest.raises(SystemExit) as exc:
+        main(["det-check", "--tol", "1e-3", "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -69,7 +69,7 @@ def test_blocks_domain_errors(lopsided):
 
 
 def _layer_matrices_loop(z, M, params):
-    """The ring-by-ring loop the index-array assignment replaced (test oracle)."""
+    """The ring-by-ring loop the strided-slice fill replaced (test oracle)."""
     two_m = 2 * M
     m1 = np.zeros((two_m, two_m), dtype=complex)
     m2 = np.zeros((two_m, two_m), dtype=complex)
@@ -89,10 +89,11 @@ def _layer_matrices_loop(z, M, params):
 
 @pytest.mark.parametrize("M", range(1, 7))
 def test_layer_matrices_match_ring_loop(M, lopsided):
-    for z in (1.0, np.exp(0.9j), 0.5, 2.0 * np.exp(-2.2j), 1.0 + 0.0j):
+    # bytes and dtype: array_equal would miss a -0.0 / 0.0 swap or a dtype change
+    for z in (1.0, np.exp(0.9j), 0.5, 2.0 * np.exp(-2.2j), 1.0 + 0.0j, 0.7 - 1.3j):
         for params in (lopsided, ModelParams.from_r(0.95)):
             for got, want in zip(layer_matrices(z, M, params), _layer_matrices_loop(complex(z), M, params)):
-                assert np.array_equal(got, want)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_layer_matrices_m2_corner_entries(lopsided):
