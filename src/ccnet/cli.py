@@ -41,6 +41,7 @@ from .lyapunov import (
 from .records import ResultRecord, canonical_row, emit
 from .spectral import (
     _DET_IDENTITY_TOL,
+    DeskScaleError,
     band_grid,
     determinant_identity_residual,
     dos_moments,
@@ -404,8 +405,9 @@ def cmd_decay(args, parser) -> int:
     for seed in args.seeds:
         phases = sample_phase_field(seed, L, M)
         op = build_cylinder_operator(params, phases, L, M)
-        spectrum = eigendecompose(op, want_vectors=True)
-        for index in range(0, spectrum.dim, max(1, spectrum.dim // args.max_fits)):
+        indices = range(0, op.dim, max(1, op.dim // args.max_fits))
+        spectrum = eigendecompose(op, want_vectors=indices)
+        for index in indices:
             fit = eigenvector_decay_fit(spectrum, index)
             rows.append(
                 canonical_row(
@@ -619,7 +621,10 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "dump": cmd_dump,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except DeskScaleError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

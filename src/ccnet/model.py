@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "ModelParams",
@@ -331,6 +330,8 @@ def _assemble(params: ModelParams, L: int, M: int, even, odd) -> FiniteOperator:
     (c+2, 2k+2), (c+1, 2k+1).  The walls e(-2L, 2k+1) -> e(-2L, 2k+2) and
     e(2L, 2k) -> e(2L, 2k+1) are placed with amplitude one.
     """
+    from scipy import sparse  # deferred: importing it costs every CLI start-up
+
     two_m = 2 * M
     dim = two_m * (4 * L + 1)
 

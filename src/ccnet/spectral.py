@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .model import (
     FiniteOperator,
@@ -44,7 +44,7 @@ __all__ = [
     "ks_statistic",
 ]
 
-DESK_SCALE_CAP = 4000  # largest dense eigenproblem attempted
+DESK_SCALE_CAP = 4000  # largest dense (pencil) eigenproblem attempted
 
 # Weight of the skew part in the Hermitian pencil.  tan^2 = 2 is not one of
 # 0, 1/3, 1, 3, so atan(sqrt 2)/pi is irrational (Niven) and no pair of
@@ -61,7 +61,19 @@ _EIGEN_GATE = 1e-8  # residual and unit-modulus gates
 _BAND_CENTRES = (0.0, 1.0)
 _LEVEL_SLACK = 1e-8  # |cos(theta - gamma)| may exceed 1 by this much
 _LEVEL_MATCH = 1e-10  # cross-centre confirmation of a candidate phase
+# retried when more than N phases pass _LEVEL_MATCH: true phases match to
+# 3e-14 at N = 804 and 2e-13 at N = 4804, the mirror candidates seen to pass
+# _LEVEL_MATCH to 2.8e-11 .. 7.3e-11
+_LEVEL_MATCH_RETRY = 1e-12
 _TRACE_TOL = 1e-9  # per dimension, |sum e^{i theta} - tr U|
+# shifted inverse iteration: sigma = lambda (1 + _SHIFT) sits just off the circle
+_SHIFT = 1e-13
+_MAX_SOLVES = 4
+# largest entry of the change between phase-aligned unit iterates, or eps/g
+# for a phase g from its nearest neighbour: rounding alone moves the iterates
+# of such a phase by up to 0.08 eps/g (measured over 2858 vectors)
+_ITERATE_TOL = 1e-12
+_START_SEED = 0  # one fixed start vector keeps the vectors deterministic
 _DECAY_FLOOR = 1e-13  # column norms below this fraction of the peak are noise
 _DECAY_MIN_R_SQUARED = 0.9  # a decay rate is reported only above this fit quality
 
@@ -72,17 +84,24 @@ class EigensolverError(RuntimeError):
     pass
 
 
+class DeskScaleError(ValueError):
+    """The dense pencil was asked for an operator larger than DESK_SCALE_CAP."""
+
+
 @dataclass(frozen=True)
 class SpectrumResult:
     """Full spectrum of one finite operator, phases sorted on [0, 2pi)."""
 
     eigenphases: np.ndarray  # (N,), sorted ascending
     eigenvalues: np.ndarray  # (N,), aligned with eigenphases
-    eigenvectors: np.ndarray | None = field(default=None, repr=False)  # (N, N) columns
+    # (N, k) unit eigenvectors; column j belongs to phase vector_indices[j]
+    eigenvectors: np.ndarray | None = field(default=None, repr=False)
+    vector_indices: np.ndarray | None = None  # (k,) indices into eigenphases
     L: int = 0
     M: int = 1
     # pencil: worst ||U v - lambda v|| over the eigenpairs; banded: worst
-    # mismatch between a kept phase and the nearest level of its other centre
+    # mismatch between a kept phase and the nearest level of its other centre,
+    # or worst ||U v - lambda v|| of the requested vectors if that is larger
     max_residual: float = 0.0
     solver: str = "pencil"  # "banded" | "pencil"
 
@@ -94,11 +113,19 @@ class SpectrumResult:
         return float(np.max(np.abs(np.abs(self.eigenvalues) - 1.0)))
 
 
-def eigendecompose(op: FiniteOperator, want_vectors: bool = True) -> SpectrumResult:
-    """Eigenphases of the finite unitary U^D, with its eigenvectors on request.
+def eigendecompose(
+    op: FiniteOperator, want_vectors: bool | Sequence[int] = True
+) -> SpectrumResult:
+    """Eigenphases of the finite unitary U^D, with eigenvectors on request.
 
-    Eigenvalue path (``want_vectors=False``): U^D has half-bandwidth 2M in
-    site order, and for each centre gamma in {0, 1} rad the band matrix
+    ``want_vectors`` is False (phases only), True (all N eigenvectors, by the
+    pencil) or a sequence of indices into the sorted phases; the result's
+    ``eigenvectors`` then holds one unit column per requested index, in the
+    order asked, and ``vector_indices`` the phase index of each column.
+
+    Banded phases (``want_vectors`` False or a sequence): U^D has
+    half-bandwidth 2M in site order, and for each centre gamma in {0, 1} rad
+    the band matrix
 
         H_gamma = (e^{-i gamma} U + e^{i gamma} U^*)/2
 
@@ -107,71 +134,114 @@ def eigendecompose(op: FiniteOperator, want_vectors: bool = True) -> SpectrumRes
     taken by ``scipy.linalg.eigvals_banded``.  Each phase theta = gamma +-
     arccos(c) is taken from the centre where |sin(theta - gamma)| is larger
     and kept only if cos(theta - gamma') matches a level of the other centre
-    within 1e-10.  The centres are not pi/2 apart mod pi: the spectrum's
-    theta -> theta + pi symmetry would then confirm every mirror candidate.
-    The result is certified only if every level has |c| <= 1 + 1e-8,
-    exactly N phases are kept and |sum e^{i theta} - tr U| <= 1e-9 N; it
-    then carries ``solver="banded"``, eigenvalues e^{i theta} and, as
-    ``max_residual``, the worst cross-centre level mismatch.  Otherwise
-    (a spectrum with mirror pairs theta, 2 gamma - theta overcounts, as the
-    L = 0 ring shift does) the reason is logged at INFO on the
-    ``ccnet.spectral`` logger and the call runs the pencil below.
+    within 1e-10, or within 1e-12 if more than N candidates match within
+    1e-10: a mirror candidate within 1e-10/|sin(theta - gamma')| rad of a
+    mirror of a true phase passes the wider match.  The centres are not
+    pi/2 apart mod pi: the spectrum's theta -> theta + pi symmetry would
+    then confirm every mirror candidate.
+    The phases are certified only if every level has |c| <= 1 + 1e-8,
+    exactly N phases are kept and |sum e^{i theta} - tr U| <= 1e-9 N; the
+    result then carries ``solver="banded"``, eigenvalues e^{i theta} and, as
+    ``max_residual``, the worst cross-centre level mismatch.
 
-    Vector path and fallback (``solver="pencil"``): U^D is normal, so its
-    Hermitian and skew parts commute and
+    Banded vectors (``want_vectors`` a sequence): for each requested phase
+    theta, sigma - U with sigma = e^{i theta} (1 + 1e-13) is factored once in
+    LAPACK general band storage (``gbtrf``, O(N M) memory) and solved
+    (``gbtrs``) from one fixed start vector until two successive unit
+    iterates, phase-aligned, differ by at most 1e-12 in their largest entry
+    (or by eps/g, the rounding floor of a phase g from its nearest
+    neighbour, if that is larger), within 4 solves.  A small residual alone is not enough: far-apart
+    localized states have nearly equal phases, and an unconverged iterate
+    keeps a tail of its neighbour below any residual gate.  Each vector must
+    pass the residual gate ||U v - e^{i theta} v|| <= 1e-8, and a phase
+    closer than 1e-13 to another, where the shift cannot tell them apart, is
+    not attempted.  ``max_residual`` becomes the worst of the level mismatch
+    and the vector residuals.
+
+    Any failure of the banded path (uncertified phases, as from the mirror
+    pairs theta, 2 gamma - theta of the L = 0 ring shift; an unconverged or
+    ungated vector) is logged at INFO on the ``ccnet.spectral`` logger, and
+    the pencil below answers the whole request.
+
+    Pencil (``want_vectors=True`` and every fallback, ``solver="pencil"``):
+    U^D is normal, so its Hermitian and skew parts commute and
 
         H = (U + U^*)/2 + a (U - U^*)/(2i),    a = PENCIL_SKEW_WEIGHT,
 
     has the eigenvectors of U with eigenvalues cos(theta) + a sin(theta).  H is
-    densified once and diagonalized by LAPACK zheevr.  Two phases share one
-    H-level when they are equal or mirror each other, theta + theta' = 2 atan(a)
-    (mod 2pi), so every cluster of H-levels closer than 1e-4 is rotated by
-    the complex Schur basis of its projected block V_c^* U V_c, which is
-    diagonal because the block is normal.  Each eigenvalue is the Rayleigh
-    quotient v^* U v.  Every pair is gated on its residual ||U v - lambda v||
-    and on | |lambda| - 1 |, both at 1e-8, and EigensolverError is raised
-    beyond; the worst residual is returned as ``max_residual``.  The pencil
-    is the test oracle of the banded path, and the dense general eigensolver
-    ``np.linalg.eig`` the oracle of the pencil.
+    densified once and diagonalized by LAPACK zheevr, so the pencil alone is
+    capped at N <= DESK_SCALE_CAP and raises DeskScaleError beyond.  Two
+    phases share one H-level when they are equal or mirror each other,
+    theta + theta' = 2 atan(a) (mod 2pi), so every cluster of H-levels
+    closer than 1e-4 is rotated by the complex Schur basis of its projected
+    block V_c^* U V_c, which is diagonal because the block is normal.  Each
+    eigenvalue is the Rayleigh quotient v^* U v.  Every pair is gated on its
+    residual ||U v - lambda v|| and on | |lambda| - 1 |, both at 1e-8, and
+    EigensolverError is raised beyond; the worst residual is returned as
+    ``max_residual``.  The pencil is the test oracle of the banded path, and
+    the dense general eigensolver ``np.linalg.eig`` the oracle of the pencil.
     """
     n = op.dim
-    if n > DESK_SCALE_CAP:
-        raise ValueError(f"operator dimension {n} exceeds desk-scale cap {DESK_SCALE_CAP}")
-    if not want_vectors:
-        try:
-            phases, mismatch = _banded_eigenphases(op.matrix)
-        except _NotCertified as exc:
-            _log.info("banded eigenphases not certified at N = %d (%s); using the pencil", n, exc)
-        else:
-            return SpectrumResult(
-                eigenphases=phases,
-                eigenvalues=np.exp(1j * phases),
-                L=op.L,
-                M=op.M,
-                max_residual=mismatch,
-                solver="banded",
-            )
-    return _pencil_decompose(op, want_vectors)
+    if want_vectors is True:
+        return _pencil_decompose(op, True)
+    indices = None
+    if want_vectors is not False:
+        indices = np.asarray(want_vectors, dtype=np.intp)
+        if indices.ndim != 1 or not np.all((indices >= 0) & (indices < n)):
+            raise ValueError(f"eigenvector indices must be a sequence in [0, {n})")
+    try:
+        phases, mismatch = _banded_eigenphases(op.matrix)
+        vectors = None
+        if indices is not None:
+            vectors, worst = _inverse_iteration(op.matrix, phases, indices)
+            mismatch = max(mismatch, worst)
+    except _NotCertified as exc:
+        _log.info("banded path not certified at N = %d (%s); using the pencil", n, exc)
+        return _pencil_decompose(op, False if indices is None else indices)
+    return SpectrumResult(
+        eigenphases=phases,
+        eigenvalues=np.exp(1j * phases),
+        eigenvectors=vectors,
+        vector_indices=indices,
+        L=op.L,
+        M=op.M,
+        max_residual=mismatch,
+        solver="banded",
+    )
 
 
 class _NotCertified(Exception):
-    """The banded eigenphases failed a certification check (the message says which)."""
+    """The banded path failed a certification check (the message says which)."""
+
+
+def _band_storage(coo, offset: int, height: int) -> np.ndarray:
+    """LAPACK band storage, entry (i, j) of the sparse matrix at [offset + i - j, j].
+
+    Subnormal entries are flushed to zero: the band reduction loses accuracy
+    on them (at r = 2.2e-313 it certifies a phase 1.2e-11 off), and they move
+    no eigenvalue by more than their size.
+    """
+    band = np.zeros((height, coo.shape[1]), dtype=complex, order="F")
+    band[offset + coo.row - coo.col, coo.col] = coo.data
+    tiny = np.finfo(float).tiny
+    band.real[np.abs(band.real) < tiny] = 0.0
+    band.imag[np.abs(band.imag) < tiny] = 0.0
+    return band
+
+
+def _half_bandwidth(u) -> int:
+    pattern = u.tocoo()
+    return int(np.max(np.abs(pattern.row - pattern.col), initial=0))
 
 
 def _band_levels(u, gamma: float, bandwidth: int) -> np.ndarray:
     """Sorted levels of (e^{-i gamma} U + e^{i gamma} U^*)/2 from its upper band storage."""
     import scipy.linalg
+    from scipy import sparse
 
     half = 0.5 * np.exp(-1j * gamma)
     upper = sparse.triu(half * u + np.conj(half) * u.conj().T, format="coo")
-    band = np.zeros((bandwidth + 1, u.shape[0]), dtype=complex)
-    band[bandwidth + upper.row - upper.col, upper.col] = upper.data
-    # the band reduction loses accuracy on subnormal entries (at r = 2.2e-313
-    # it certifies a phase 1.2e-11 off); they move no level by more than their
-    # size, so they are flushed to zero
-    tiny = np.finfo(float).tiny
-    band.real[np.abs(band.real) < tiny] = 0.0
-    band.imag[np.abs(band.imag) < tiny] = 0.0
+    band = _band_storage(upper, bandwidth, bandwidth + 1)
     try:
         return scipy.linalg.eigvals_banded(
             band, lower=False, overwrite_a_band=True, check_finite=False
@@ -183,13 +253,12 @@ def _band_levels(u, gamma: float, bandwidth: int) -> np.ndarray:
 def _banded_eigenphases(u) -> tuple[np.ndarray, float]:
     """Certified sorted eigenphases of a unitary band matrix and the worst level mismatch."""
     n = u.shape[0]
-    pattern = u.tocoo()
-    bandwidth = int(np.max(np.abs(pattern.row - pattern.col), initial=0))
+    bandwidth = _half_bandwidth(u)
     levels = [_band_levels(u, gamma, bandwidth) for gamma in _BAND_CENTRES]
     worst_level = max(float(np.max(np.abs(lv))) for lv in levels)
     if not worst_level <= 1.0 + _LEVEL_SLACK:
         raise _NotCertified(f"level {worst_level!r} outside [-1, 1]")
-    kept, mismatch = [], 0.0
+    thetas, misses = [], []
     for own, other in ((0, 1), (1, 0)):
         gamma, gamma_other = _BAND_CENTRES[own], _BAND_CENTRES[other]
         arc = np.arccos(np.clip(levels[own], -1.0, 1.0))
@@ -197,17 +266,69 @@ def _banded_eigenphases(u) -> tuple[np.ndarray, float]:
         lever, lever_other = np.abs(np.sin(theta - gamma)), np.abs(np.sin(theta - gamma_other))
         # ties go to the first centre, so no phase is taken from both
         theta = theta[lever >= lever_other if own == 0 else lever > lever_other]
-        miss = _nearest_gap(levels[other], np.cos(theta - gamma_other))
-        confirmed = miss <= _LEVEL_MATCH
-        kept.append(theta[confirmed])
-        mismatch = max(mismatch, float(np.max(miss[confirmed], initial=0.0)))
-    phases = np.sort(np.mod(np.concatenate(kept), 2.0 * np.pi))
-    if phases.size != n:
-        raise _NotCertified(f"{phases.size} phases confirmed, expected {n}")
+        thetas.append(theta)
+        misses.append(_nearest_gap(levels[other], np.cos(theta - gamma_other)))
+    theta, miss = np.concatenate(thetas), np.concatenate(misses)
+    for tol in (_LEVEL_MATCH, _LEVEL_MATCH_RETRY):
+        confirmed = miss <= tol
+        if np.count_nonzero(confirmed) <= n:
+            break
+    theta, miss = theta[confirmed], miss[confirmed]
+    if theta.size != n:
+        raise _NotCertified(f"{theta.size} phases confirmed, expected {n}")
+    phases = np.sort(np.mod(theta, 2.0 * np.pi))
+    mismatch = float(np.max(miss, initial=0.0))
     trace_gap = abs(np.sum(np.exp(1j * phases)) - u.diagonal().sum())
     if not trace_gap <= _TRACE_TOL * n:
         raise _NotCertified(f"eigenvalue sum misses the trace by {trace_gap:.3e}")
     return phases, mismatch
+
+
+def _inverse_iteration(u, phases: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit eigenvectors of the phases at ``indices`` and their worst residual."""
+    from scipy.linalg import lapack
+
+    n = u.shape[0]
+    # closer than the shift, a neighbour is amplified as much as the target
+    gaps = np.diff(np.r_[phases, phases[0] + 2.0 * np.pi])
+    nearest = np.minimum(gaps, np.roll(gaps, 1))[indices]
+    if not np.all(nearest >= _SHIFT):
+        k = int(indices[np.argmin(nearest)])
+        raise _NotCertified(f"phase {k} is within {_SHIFT:g} of another")
+    bw = _half_bandwidth(u)
+    # -U in general band storage, with bw rows on top for the fill-in of gbtrf
+    minus_u = -_band_storage(u.tocoo(), 2 * bw, 3 * bw + 1)
+    tolerances = np.maximum(_ITERATE_TOL, np.finfo(float).eps / nearest)
+    rng = np.random.default_rng(_START_SEED)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    start /= np.linalg.norm(start)
+    values = np.exp(1j * phases[indices])
+    vectors = np.empty((n, indices.size), dtype=complex)
+    for col, (value, tol) in enumerate(zip(values, tolerances)):
+        band = minus_u.copy(order="F")
+        band[2 * bw] += value * (1.0 + _SHIFT)
+        lu, pivots, info = lapack.zgbtrf(band, bw, bw, overwrite_ab=True)
+        if info != 0:
+            raise _NotCertified(f"sigma - U is singular at phase {indices[col]}")
+        previous = start
+        for solve in range(_MAX_SOLVES):
+            x, _ = lapack.zgbtrs(lu, bw, bw, previous, pivots)
+            x /= np.linalg.norm(x)
+            overlap = np.vdot(previous, x)
+            x *= np.conj(overlap) / abs(overlap)
+            if solve and np.max(np.abs(x - previous)) <= tol:
+                break
+            previous = x
+        else:
+            raise _NotCertified(
+                f"eigenvector {indices[col]} not converged after {_MAX_SOLVES} solves"
+            )
+        vectors[:, col] = x
+    residuals = np.linalg.norm(u @ vectors - vectors * values, axis=0)
+    worst = float(np.max(residuals, initial=0.0))
+    if not worst <= _EIGEN_GATE:
+        raise _NotCertified(f"eigenvector residual {worst:.3e} exceeds {_EIGEN_GATE:g}")
+    return vectors, worst
 
 
 def _nearest_gap(sorted_levels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -218,11 +339,18 @@ def _nearest_gap(sorted_levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(above - values), np.abs(values - below))
 
 
-def _pencil_decompose(op: FiniteOperator, want_vectors: bool) -> SpectrumResult:
-    """The Hermitian-pencil solve of ``eigendecompose``, gated on residual and modulus."""
+def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
+    """The Hermitian-pencil solve of ``eigendecompose``, gated on residual and modulus.
+
+    ``want_vectors`` is False, True (all N vectors) or an index array.
+    """
     import scipy.linalg  # deferred: importing it costs every CLI start-up
 
     n = op.dim
+    if n > DESK_SCALE_CAP:
+        raise DeskScaleError(
+            f"operator dimension {n} exceeds desk-scale cap {DESK_SCALE_CAP} of the dense pencil"
+        )
     u = op.matrix
     half = 0.5 - 0.5j * PENCIL_SKEW_WEIGHT
     pencil = (half * u + np.conj(half) * u.conj().T).toarray(order="F")
@@ -232,10 +360,11 @@ def _pencil_decompose(op: FiniteOperator, want_vectors: bool) -> SpectrumResult:
         )
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    # zheevr has overwritten the pencil.  The vector path reuses its buffer for
-    # the sorted vectors, so no third N x N array is allocated and the peak
-    # memory is the same on every call; the eigenvalue path frees it here.
-    sorted_vecs = pencil if want_vectors else None
+    # zheevr has overwritten the pencil.  The all-vector path reuses its buffer
+    # for the sorted vectors, so no third N x N array is allocated and the peak
+    # memory is the same on every call; the other paths free it here.
+    full = want_vectors is True
+    sorted_vecs = pencil if full else None
     del pencil
     _rotate_clusters(u, levels, vecs)
     evals = np.empty(n, dtype=complex)
@@ -261,13 +390,19 @@ def _pencil_decompose(op: FiniteOperator, want_vectors: bool) -> SpectrumResult:
         evals[start : start + _CHUNK] = quotients
     phases = np.mod(np.angle(evals), 2.0 * np.pi)
     order = np.argsort(phases)
-    if sorted_vecs is not None:
+    indices = None
+    if full:
         # mode="clip" writes straight into out; a permutation is never clipped
         np.take(vecs.T, order, axis=0, out=sorted_vecs.T, mode="clip")
+        indices = np.arange(n)
+    elif want_vectors is not False:
+        indices = want_vectors
+        sorted_vecs = vecs[:, order[indices]]
     return SpectrumResult(
         eigenphases=phases[order],
         eigenvalues=evals[order],
         eigenvectors=sorted_vecs,
+        vector_indices=indices,
         L=op.L,
         M=op.M,
         max_residual=max_residual,
@@ -564,8 +699,10 @@ class DecayFit:
 
 
 def eigenvector_decay_fit(result: SpectrumResult, index: int) -> DecayFit:
-    """Fit log column norms against distance from the peak column.
+    """Fit log column norms of the eigenvector of phase ``index`` against distance from its peak.
 
+    ``index`` counts into ``result.eigenphases``; ValueError is raised when
+    the result carries no eigenvector for that phase (see ``vector_indices``).
     Tail window: columns at distance >= max(2, L // 4) from the peak whose
     norm sits above the numerical floor (1e-13 of the peak).  A slope is
     reported only when the fit explains the tail (R^2 >= 0.9); profiles
@@ -573,8 +710,12 @@ def eigenvector_decay_fit(result: SpectrumResult, index: int) -> DecayFit:
     """
     if result.eigenvectors is None:
         raise ValueError("SpectrumResult carries no eigenvectors")
+    columns = np.flatnonzero(result.vector_indices == index)
+    if columns.size == 0:
+        raise ValueError(f"SpectrumResult carries no eigenvector for phase {index}")
+    column = columns[0]
     L, M = result.L, result.M
-    vec = result.eigenvectors[:, index]
+    vec = result.eigenvectors[:, column]
     norms = np.linalg.norm(vec.reshape(4 * L + 1, 2 * M), axis=1)
     phase = float(result.eigenphases[index])
     peak = int(np.argmax(norms))

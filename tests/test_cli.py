@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ccnet
-from ccnet import __version__, cli, invariants
+from ccnet import __version__, cli, invariants, spectral
 from ccnet.cli import main
 from ccnet.records import CSV_HEADER, ResultRecord, canonical_row, emit, read_records
 
@@ -78,17 +78,21 @@ def test_emit_rejects_unknown_format(tmp_path):
 # command-line interface
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # the eigensolver imports scipy.linalg on first use; a module-level import
-    # would add its load time and memory to every command's start-up
+def test_cli_import_leaves_scipy_unloaded():
+    # the operator builder and the eigensolver import scipy on first use; a
+    # module-level import would add its load time and memory to every
+    # command's start-up, including the cocycle commands that never solve
     src = str(Path(ccnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, ccnet.cli; ccnet.cli.build_parser(); print('scipy.linalg' in sys.modules)"
+    code = (
+        "import sys, ccnet.cli; ccnet.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["verify", "--quick"]], ids=["full", "quick"])
@@ -368,6 +372,26 @@ def test_decay_command(tmp_path):
         "compact support",
         "window too short",
     }
+
+
+def test_decay_runs_past_the_pencil_cap(tmp_path):
+    # N = 2M (4L + 1) = 4804 > DESK_SCALE_CAP: phases and the fitted vectors
+    # come from band solves, so the cap of the dense pencil does not apply
+    out = tmp_path / "decay.csv"
+    argv = ["decay", "--r", "0.95", "--M", "2", "--L", "300", "--seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    rows = read_records(out, "csv")
+    assert [row["k"] for row in rows] == list(range(0, 4804, 4804 // 64))
+
+
+def test_pencil_past_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # the L = 0 ring shift has mirror pairs, so its phases need the pencil
+    monkeypatch.setattr(spectral, "DESK_SCALE_CAP", 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["dos", "--M", "2", "--L", "0", "--out", str(tmp_path / "dos.csv")])
+    assert exc.value.code == 2
+    assert "exceeds desk-scale cap 3" in capsys.readouterr().err
+    assert not (tmp_path / "dos.csv").exists()
 
 
 def test_xi_scaling_command(tmp_path):

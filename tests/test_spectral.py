@@ -23,6 +23,7 @@ from ccnet import (
     ks_statistic,
     sample_phase_field,
 )
+from ccnet import spectral
 from ccnet.spectral import (
     DESK_SCALE_CAP,
     PENCIL_SKEW_WEIGHT,
@@ -65,12 +66,15 @@ def test_eigendecompose_residuals_and_modulus(lopsided):
 
 
 def test_eigendecompose_cap(lopsided):
-    # (4L + 1) 2M = 4020 > DESK_SCALE_CAP; the cap is checked before any solve
+    # (4L + 1) 2M = 4020 > DESK_SCALE_CAP; the cap binds the dense pencil
+    # alone, and is checked before it densifies anything
     op = build_cylinder_operator(lopsided, sample_phase_field(1, 50, 10), 50, 10)
     assert op.dim == 4020 > DESK_SCALE_CAP
-    for want_vectors in (True, False):
-        with pytest.raises(ValueError, match="desk-scale cap"):
-            eigendecompose(op, want_vectors=want_vectors)
+    with pytest.raises(ValueError, match="desk-scale cap"):
+        eigendecompose(op, want_vectors=True)
+    spec = eigendecompose(op, want_vectors=False)
+    assert spec.solver == "banded" and spec.dim == op.dim
+    assert np.all(np.diff(spec.eigenphases) >= 0.0)
 
 
 def _phases_from_cut(evals, reference):
@@ -210,6 +214,129 @@ def test_fallback_to_pencil_is_logged(caplog):
     assert np.allclose(spec.eigenphases, [0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-10)
     (record,) = caplog.records
     assert record.levelno == logging.INFO and "6 phases confirmed, expected 4" in record.message
+
+
+@pytest.mark.parametrize(
+    "seed, confirmed",
+    [
+        # a mirror candidate 1.1e-9 rad from the mirror of a true phase
+        # about the other centre matches its level to 6.1e-11
+        (601083, 806),
+        # a pair of phases nearly mirror about centre 1: each one's mirror
+        # candidate lies 9.8e-11 rad from the other and matches to 7.3e-11
+        (5104, 808),
+    ],
+)
+def test_over_count_is_retried_at_the_tight_match(seed, confirmed, monkeypatch, caplog):
+    op = build_cylinder_operator(ModelParams.from_r(0.95), sample_phase_field(seed, 50, 2), 50, 2)
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        banded = eigendecompose(op, want_vectors=False)
+    assert banded.solver == "banded" and not caplog.records
+    assert banded.max_residual <= 1e-13
+    pencil = _pencil_decompose(op, want_vectors=False)
+    got = _phases_from_cut(banded.eigenvalues, pencil.eigenvalues)
+    want = _phases_from_cut(pencil.eigenvalues, pencil.eigenvalues)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # without the retry these operators fall back to the pencil
+    monkeypatch.setattr(spectral, "_LEVEL_MATCH_RETRY", spectral._LEVEL_MATCH)
+    with pytest.raises(spectral._NotCertified, match=f"{confirmed} phases confirmed"):
+        spectral._banded_eigenphases(op.matrix)
+
+
+def _aligned_gaps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
+    """Largest entry of each column of got - want once got takes want's phase."""
+    overlap = np.einsum("ij,ij->j", got.conj(), want)
+    return np.max(np.abs(got * (overlap / np.abs(overlap)) - want), axis=0)
+
+
+def _decay_statuses(spec, indices):
+    return [eigenvector_decay_fit(spec, k).status for k in indices]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    r=st.sampled_from([0.3, 0.6, math.sqrt(0.5), 0.95]),
+    M=st.integers(1, 3),
+    L=st.integers(2, 25),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12),
+)
+# phase 158 has a neighbour 1.48e-5 away, inside the pencil's 1e-4 cluster
+# gap: the pencil column is 4.7e-10 from a dense refined inverse iteration,
+# the banded one 4.7e-13
+@example(r=math.sqrt(0.5), M=2, L=22, seed=7636235, picks=[0.4453125])
+def test_banded_vectors_match_pencil(r, M, L, seed, picks):
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
+    indices = [int(p * op.dim) for p in picks]
+    banded = eigendecompose(op, want_vectors=indices)
+    pencil = eigendecompose(op, want_vectors=True)
+    assert banded.solver == "banded" and banded.eigenvectors.shape == (op.dim, len(indices))
+    assert list(banded.vector_indices) == indices
+    dense = op.to_dense()
+    got, want = banded.eigenvectors, pencil.eigenvectors[:, indices]
+    res_got = np.linalg.norm(dense @ got - got * banded.eigenvalues[indices], axis=0)
+    res_want = np.linalg.norm(dense @ want - want * pencil.eigenvalues[indices], axis=0)
+    assert res_got.max() <= 1e-12 and banded.max_residual <= 1e-12
+    # columns agree to 1e-10, or to the Davis-Kahan bound (res + res') / gap
+    # on two vectors whose phase sits that close to its neighbours
+    phases = banded.eigenphases
+    gaps = np.abs(np.angle(np.exp(1j * (phases[:, None] - phases[indices]))))
+    gaps[indices, range(len(indices))] = np.inf
+    bound = np.maximum(1e-10, (res_got + res_want) / gaps.min(axis=0))
+    assert np.all(_aligned_gaps(got, want) <= bound)
+    assert _decay_statuses(banded, indices) == _decay_statuses(pencil, indices)
+
+
+def test_vector_fallback_returns_requested_columns(caplog):
+    # the L = 0, M = 3 ring shift has mirror pairs, so the phases are not
+    # certified and the pencil answers the same columns
+    op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 3), 0, 3)
+    indices = [4, 1, 4]
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        spec = eigendecompose(op, want_vectors=indices)
+    assert spec.solver == "pencil" and len(caplog.records) == 1
+    assert list(spec.vector_indices) == indices
+    assert spec.eigenvectors.shape == (op.dim, 3)
+    full = eigendecompose(op, want_vectors=True)
+    assert np.array_equal(spec.eigenvectors, full.eigenvectors[:, indices])
+    assert np.array_equal(spec.eigenphases, full.eigenphases)
+
+
+def test_repeated_phase_vectors_come_from_the_pencil(caplog):
+    # one shift cannot tell the five copies of 1.234 apart, and inverse
+    # iteration would return the same vector for each
+    rng = np.random.default_rng(43)
+    thetas = np.r_[np.full(5, 1.234), 2 * np.pi * rng.random(13)]
+    op = _normal_operator(thetas, 2)
+    assert eigendecompose(op, want_vectors=False).solver == "banded"
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        spec = eigendecompose(op, want_vectors=[2, 3])
+    assert spec.solver == "pencil" and "within 1e-13 of another" in caplog.text
+    vecs = spec.eigenvectors
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2))) <= 1e-12
+
+
+@pytest.mark.parametrize("want_vectors", [[-1], [18], [[0, 1]]])
+def test_eigenvector_indices_are_checked(want_vectors):
+    op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 2, 1), 2, 1)
+    with pytest.raises(ValueError, match="indices"):
+        eigendecompose(op, want_vectors=want_vectors)
+
+
+def test_iterate_check_catches_early_stop(monkeypatch):
+    # far-apart localized states have nearly equal phases: stopped after two
+    # solves from a shift 1e-10 off the circle, a vector keeps a tail of its
+    # neighbour that flips decay statuses while its residual stays ~1e-14
+    op = build_cylinder_operator(ModelParams.from_r(0.95), sample_phase_field(1, 50, 2), 50, 2)
+    indices = list(range(0, op.dim, op.dim // 64))
+    want = _decay_statuses(eigendecompose(op, want_vectors=True), indices)
+    monkeypatch.setattr(spectral, "_SHIFT", 1e-10)
+    with_check = eigendecompose(op, want_vectors=indices)
+    assert _decay_statuses(with_check, indices) == want
+    monkeypatch.setattr(spectral, "_ITERATE_TOL", math.inf)
+    sabotaged = eigendecompose(op, want_vectors=indices)
+    assert sabotaged.solver == "banded" and sabotaged.max_residual <= 1e-12
+    assert _decay_statuses(sabotaged, indices) != want
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +592,14 @@ def test_decay_fit_requires_vectors(lopsided):
     spec = eigendecompose(op, want_vectors=False)
     with pytest.raises(ValueError):
         eigenvector_decay_fit(spec, 0)
+
+
+def test_decay_fit_requires_the_phase_vector(lopsided):
+    op = build_cylinder_operator(lopsided, sample_phase_field(4, 3, 2), 3, 2)
+    spec = eigendecompose(op, want_vectors=[2, 7])
+    assert eigenvector_decay_fit(spec, 7).eigenphase == spec.eigenphases[7]
+    with pytest.raises(ValueError, match="no eigenvector for phase 3"):
+        eigenvector_decay_fit(spec, 3)
 
 
 # ---------------------------------------------------------------------------
