@@ -16,7 +16,6 @@ from .model import (
     ModelParams,
     NodePhaseField,
     PhaseField,
-    SiteIndex,
     build_cylinder_operator,
     build_full_cylinder_operator,
     extreme_block_check,
@@ -32,7 +31,6 @@ from .transfer import (
     cocycle_step,
     form_signature,
     layer_matrices,
-    phase_slotting,
     propagate,
     reconstruct_and_verify,
     reconstruct_columns,
@@ -41,13 +39,11 @@ from .lyapunov import (
     CocycleRunConfig,
     LocalizationLength,
     LyapunovResult,
-    ZIndependenceReport,
     localization_length,
     lyapunov_spectra,
     lyapunov_spectrum,
     thouless_rhs,
     xi_upper_bound,
-    z_independence_check,
 )
 from .spectral import (
     BandStructure,
@@ -57,7 +53,6 @@ from .spectral import (
     ParityOperators,
     SpectrumResult,
     band_grid,
-    band_structure,
     band_symbol,
     build_parity_operators,
     determinant_identity_residual,

@@ -53,6 +53,7 @@ DEFAULT_R_GRID = [0.6, 0.66, math.sqrt(0.5), math.sqrt(1 - 0.66**2), 0.8]
 # least accepted value of each integer flag, wherever a subcommand has it
 _FLAG_MINIMUMS = {
     "workers": 1,
+    "seeds": 0,
     "M": 1,
     "L": 0,
     "steps": BATCH_COUNT,
@@ -600,8 +601,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is None:
         args.workers = _default_workers(parser) if hasattr(args, "workers") else 1
-    if hasattr(args, "seeds") and not args.seeds:
-        parser.error("--seeds must be non-empty")
+    # an empty list would run no cell and pass, or fail inside the run
+    for name in ("seeds", "M", "z"):
+        if hasattr(args, name) and not getattr(args, name):
+            parser.error(f"--{name} must be non-empty")
     for name, least in _FLAG_MINIMUMS.items():
         values = getattr(args, name, least)
         if min(values if isinstance(values, list) else [values], default=least) < least:

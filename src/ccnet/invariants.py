@@ -18,6 +18,7 @@ from .model import (
     ModelParams,
     NodePhaseField,
     build_cylinder_operator,
+    build_full_cylinder_operator,
     extreme_block_check,
     reduce_phases,
     sample_node_phases,
@@ -196,14 +197,44 @@ def log_potential_closed_form():
     return worst <= 1e-9, f"max closed-form deviation {worst:.2e}"
 
 
-def phase_reduction():
-    """Reducing node phases keeps unit moduli and fixes the all-ones field."""
-    nodes = sample_node_phases(31, 1, 2)
-    reduced = reduce_phases(nodes, 1, 2)
-    trivial = NodePhaseField(M=2, nodes={key: np.ones(6, complex) for key in nodes.nodes})
-    ones = np.max(np.abs(reduce_phases(trivial, 1, 2).values - 1.0)) <= 1e-14
+def phase_reduction(node_seed):
+    """Node phases reduce to site phases by a diagonal conjugation.
+
+    Conjugating the six-phase U^D by the diagonal D2 of its nodes' right
+    factors gives the reduced U^D on every row but the 2M wall rows, which
+    D2 does not conjugate, to 1e-13 (r = 0.6, L = M = 2).  The reduction
+    also keeps unit moduli and fixes the all-ones field.
+    """
+    params, L, M = ModelParams.from_r(0.6), 2, 2
+    nodes = sample_node_phases(node_seed, L, M)
+    reduced = reduce_phases(nodes, L, M)
+    full = build_full_cylinder_operator(params, nodes, L, M).matrix.toarray()
+    red = build_cylinder_operator(params, reduced, L, M)
+    d2 = np.empty((4 * L + 1, 2 * M), dtype=complex)  # site order of U^D
+    for c in range(-2 * L, 2 * L + 1):
+        for m in range(2 * M):
+            if c % 2 == 0 and m % 2 == 0:
+                q = nodes.six(c, m)[2]
+            elif c % 2 == 1 and m % 2 == 1:
+                q = np.conj(nodes.six(c - 1, m - 1)[2])
+            elif c % 2 == 0:
+                q = nodes.six(c - 2, m - 1)[5]
+            else:
+                q = np.conj(nodes.six(c - 1, m - 2)[5])
+            d2[c + 2 * L, m] = q
+    d2 = d2.ravel()
+    conjugated = d2[:, None] * full * np.conj(d2)
+    walls = [red.index(-2 * L, 2 * k + 2) for k in range(M)] + [
+        red.index(2 * L, 2 * k + 1) for k in range(M)
+    ]
+    interior = np.delete(np.arange(red.dim), walls)
+    defect = float(np.max(np.abs(conjugated[interior] - red.matrix.toarray()[interior])))
+    trivial = NodePhaseField(M=M, nodes={key: np.ones(6, complex) for key in nodes.nodes})
+    ones = np.max(np.abs(reduce_phases(trivial, L, M).values - 1.0)) <= 1e-14
     unit = np.max(np.abs(np.abs(reduced.values) - 1.0)) <= 1e-14
-    return bool(ones and unit), "all-ones fixed point and unit moduli"
+    ok = defect <= 1e-13 and ones and unit
+    detail = f"interior conjugation defect {defect:.2e}, all-ones fixed point and unit moduli"
+    return bool(ok), detail
 
 
 # (name, check, quick arguments, full arguments), in the order verify prints
@@ -220,5 +251,5 @@ CHECKS = [
     ("band symbol det & edges", band_symbol, ([0.6],), ([0.6],)),
     ("cyclicity ranks", cyclicity_ranks, ([23], 2), ([23], 3)),
     ("log-potential closed form", log_potential_closed_form, (), ()),
-    ("phase reduction", phase_reduction, (), ()),
+    ("phase reduction", phase_reduction, (31,), (31,)),
 ]

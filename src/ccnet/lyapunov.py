@@ -28,12 +28,10 @@ __all__ = [
     "CocycleRunConfig",
     "LyapunovResult",
     "LocalizationLength",
-    "ZIndependenceReport",
     "lyapunov_spectra",
     "lyapunov_spectrum",
     "localization_length",
     "thouless_rhs",
-    "z_independence_check",
     "xi_upper_bound",
 ]
 
@@ -271,50 +269,6 @@ def thouless_rhs(z: complex, params: ModelParams) -> float:
     if az == 0.0:
         raise ValueError("z must be nonzero")
     return 2.0 * math.log(max(1.0, az)) + 0.5 * math.log(1.0 / params.rt) - math.log(az)
-
-
-@dataclass(frozen=True)
-class ZIndependenceReport:
-    """Per-exponent comparison of two on-circle runs."""
-
-    z1: complex
-    z2: complex
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    combined_sigma: np.ndarray
-    passes: np.ndarray
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(np.all(self.passes))
-
-
-def z_independence_check(
-    params: ModelParams,
-    M: int,
-    z1: complex,
-    z2: complex,
-    n_steps: int,
-    seeds: tuple[int, int],
-) -> ZIndependenceReport:
-    """Compare lambda_k(z1) and lambda_k(z2) for |z1| = |z2| = 1 at 3 sigma."""
-    for z in (z1, z2):
-        if abs(abs(complex(z)) - 1.0) > 1e-12:
-            raise ValueError(f"z-independence holds on the unit circle only, got |z| = {abs(z)}")
-    r1, r2 = lyapunov_spectra(
-        CocycleRunConfig(params=params, M=M, n_steps=n_steps, seed=seed, z=z)
-        for z, seed in ((z1, seeds[0]), (z2, seeds[1]))
-    )
-    sigma = np.sqrt(r1.stderrs**2 + r2.stderrs**2)
-    diff = np.abs(r1.exponents - r2.exponents)
-    return ZIndependenceReport(
-        z1=complex(z1),
-        z2=complex(z2),
-        lambda1=r1.exponents,
-        lambda2=r2.exponents,
-        combined_sigma=sigma,
-        passes=diff <= 3.0 * sigma,
-    )
 
 
 def xi_upper_bound(params: ModelParams, M: int):

@@ -17,12 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+# importing SciPy here would load it on every CLI start-up, so at run time
+# (typing.get_type_hints included) the matrix annotation reads as Any
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
+else:
+    csr_matrix = Any
+
 __all__ = [
     "ModelParams",
-    "SiteIndex",
     "PhaseField",
     "NodePhaseField",
     "FiniteOperator",
@@ -75,22 +82,6 @@ class ModelParams:
         if self.rt == 0.0:
             raise ValueError("rt = 0: transfer-matrix and cocycle routines need rt != 0")
         return self
-
-
-@dataclass(frozen=True)
-class SiteIndex:
-    """Lattice site (column j, ring k); ring is meant mod 2M.
-
-    Sublattice parity is (column + ring) mod 2: parity 0 sites are inputs of
-    even nodes / outputs of odd nodes and vice versa.
-    """
-
-    column: int
-    ring: int
-
-    @property
-    def parity(self) -> int:
-        return (self.column + self.ring) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +145,6 @@ class PhaseField:
 
     def covers_columns(self, lo: int, hi: int) -> bool:
         return -2 * self.L <= lo and hi <= 2 * self.L
-
-    def phase(self, column: int, ring: int) -> complex:
-        if not self.covers_columns(column, column):
-            raise ValueError(f"column {column} outside window [-{2*self.L}, {2*self.L}]")
-        return complex(self.values[column + 2 * self.L, ring % (2 * self.M)])
-
-    def column_phases(self, column: int) -> np.ndarray:
-        """Ring vector of phases at one column."""
-        if not self.covers_columns(column, column):
-            raise ValueError(f"column {column} outside window [-{2*self.L}, {2*self.L}]")
-        return self.values[column + 2 * self.L]
 
     def to_triples(self) -> np.ndarray:
         """Export as rows (column, ring, arg) for external inspection."""
@@ -291,7 +271,7 @@ class FiniteOperator:
     L: int
     M: int
     params: ModelParams
-    matrix: sparse.csr_matrix = field(repr=False)
+    matrix: csr_matrix = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -302,13 +282,6 @@ class FiniteOperator:
         if not (-2 * self.L <= column <= 2 * self.L):
             raise ValueError(f"column {column} outside window")
         return (column + 2 * self.L) * 2 * self.M + ring % (2 * self.M)
-
-    def site(self, flat: int) -> SiteIndex:
-        col, ring = divmod(int(flat), 2 * self.M)
-        return SiteIndex(col - 2 * self.L, ring)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
     def unitarity_defect(self) -> float:
         gram = (self.matrix.conj().T @ self.matrix).toarray()

@@ -37,7 +37,6 @@ __all__ = [
     "build_parity_operators",
     "determinant_identity_residual",
     "band_symbol",
-    "band_structure",
     "band_grid",
     "eigenvector_decay_fit",
     "krylov_rank",
@@ -109,23 +108,21 @@ class SpectrumResult:
     def dim(self) -> int:
         return self.eigenphases.size
 
-    def modulus_defect(self) -> float:
-        return float(np.max(np.abs(np.abs(self.eigenvalues) - 1.0)))
-
 
 def eigendecompose(
-    op: FiniteOperator, want_vectors: bool | Sequence[int] = True
+    op: FiniteOperator, want_vectors: bool | Sequence[int] = False
 ) -> SpectrumResult:
     """Eigenphases of the finite unitary U^D, with eigenvectors on request.
 
-    ``want_vectors`` is False (phases only), True (all N eigenvectors, by the
-    pencil) or a sequence of indices into the sorted phases; the result's
-    ``eigenvectors`` then holds one unit column per requested index, in the
-    order asked, and ``vector_indices`` the phase index of each column.
+    ``want_vectors`` is False (phases only) or a sequence of indices into the
+    sorted phases; the result's ``eigenvectors`` then holds one unit column
+    per requested index, in the order asked, and ``vector_indices`` the phase
+    index of each column.  All N eigenvectors are ``range(N)``: they take the
+    banded path like any other request.  Anything else, True included,
+    raises ValueError.
 
-    Banded phases (``want_vectors`` False or a sequence): U^D has
-    half-bandwidth 2M in site order, and for each centre gamma in {0, 1} rad
-    the band matrix
+    Banded phases: U^D has half-bandwidth 2M in site order, and for each
+    centre gamma in {0, 1} rad the band matrix
 
         H_gamma = (e^{-i gamma} U + e^{i gamma} U^*)/2
 
@@ -163,8 +160,8 @@ def eigendecompose(
     ungated vector) is logged at INFO on the ``ccnet.spectral`` logger, and
     the pencil below answers the whole request.
 
-    Pencil (``want_vectors=True`` and every fallback, ``solver="pencil"``):
-    U^D is normal, so its Hermitian and skew parts commute and
+    Pencil (every fallback, ``solver="pencil"``): U^D is normal, so its
+    Hermitian and skew parts commute and
 
         H = (U + U^*)/2 + a (U - U^*)/(2i),    a = PENCIL_SKEW_WEIGHT,
 
@@ -182,8 +179,6 @@ def eigendecompose(
     the dense general eigensolver ``np.linalg.eig`` the oracle of the pencil.
     """
     n = op.dim
-    if want_vectors is True:
-        return _pencil_decompose(op, True)
     indices = None
     if want_vectors is not False:
         indices = np.asarray(want_vectors, dtype=np.intp)
@@ -342,7 +337,7 @@ def _nearest_gap(sorted_levels: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
     """The Hermitian-pencil solve of ``eigendecompose``, gated on residual and modulus.
 
-    ``want_vectors`` is False, True (all N vectors) or an index array.
+    ``want_vectors`` is False or an index array into the sorted phases.
     """
     import scipy.linalg  # deferred: importing it costs every CLI start-up
 
@@ -360,12 +355,7 @@ def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
         )
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    # zheevr has overwritten the pencil.  The all-vector path reuses its buffer
-    # for the sorted vectors, so no third N x N array is allocated and the peak
-    # memory is the same on every call; the other paths free it here.
-    full = want_vectors is True
-    sorted_vecs = pencil if full else None
-    del pencil
+    del pencil  # overwritten by zheevr
     _rotate_clusters(u, levels, vecs)
     evals = np.empty(n, dtype=complex)
     max_residual = 0.0
@@ -390,12 +380,8 @@ def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
         evals[start : start + _CHUNK] = quotients
     phases = np.mod(np.angle(evals), 2.0 * np.pi)
     order = np.argsort(phases)
-    indices = None
-    if full:
-        # mode="clip" writes straight into out; a permutation is never clipped
-        np.take(vecs.T, order, axis=0, out=sorted_vecs.T, mode="clip")
-        indices = np.arange(n)
-    elif want_vectors is not False:
+    indices, sorted_vecs = None, None
+    if want_vectors is not False:
         indices = want_vectors
         sorted_vecs = vecs[:, order[indices]]
     return SpectrumResult(
@@ -636,19 +622,9 @@ def band_symbol(x, y, params: ModelParams) -> np.ndarray:
     return np.stack([top, bottom], axis=-2)
 
 
-def _symbol_eigenphases(xs: np.ndarray, ys: np.ndarray, params: ModelParams):
-    """Stacked eigenphases and determinant defect over an (x, y) grid."""
-    sym = band_symbol(*np.meshgrid(xs, ys, indexing="ij"), params)
-    dets = np.linalg.det(sym)
-    evals = np.linalg.eigvals(sym)
-    thetas = np.sort(np.mod(np.angle(evals), 2.0 * np.pi), axis=-1)
-    det_defect = float(np.max(np.abs(dets + 1.0)))
-    return thetas, det_defect
-
-
 @dataclass(frozen=True)
 class BandStructure:
-    """Symbol eigenphases over a momentum grid (cylinder-quantized or full)."""
+    """Symbol eigenphases over the momentum grid of ``band_grid``."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -660,26 +636,17 @@ class BandStructure:
         """Largest |sin theta| over the grid, as an angle: the band edge arcsin(2rt)."""
         return float(np.max(np.abs(np.arcsin(np.clip(np.sin(self.eigenphases), -1, 1)))))
 
-    def band_width(self) -> float:
-        return float(np.ptp(self.eigenphases))
-
-
-def band_structure(params: ModelParams, M: int, nx: int = 128) -> BandStructure:
-    """Eigenphases along the cylinder momenta y = 2 pi kappa / M, kappa in Z_M."""
-    if M < 1:
-        raise ValueError("need M >= 1")
-    xs = np.linspace(-np.pi, np.pi, nx, endpoint=False)
-    ys = 2.0 * np.pi * np.arange(M) / M
-    thetas, defect = _symbol_eigenphases(xs, ys, params)
-    return BandStructure(xs=xs, ys=ys, eigenphases=thetas, det_defect=defect, params=params)
-
 
 def band_grid(params: ModelParams, nx: int = 64, ny: int = 64) -> BandStructure:
     """Eigenphases over the full momentum torus (both components continuous)."""
     xs = np.linspace(-np.pi, np.pi, nx, endpoint=False)
     ys = np.linspace(-np.pi, np.pi, ny, endpoint=False)
-    thetas, defect = _symbol_eigenphases(xs, ys, params)
-    return BandStructure(xs=xs, ys=ys, eigenphases=thetas, det_defect=defect, params=params)
+    sym = band_symbol(*np.meshgrid(xs, ys, indexing="ij"), params)
+    dets = np.linalg.det(sym)
+    evals = np.linalg.eigvals(sym)
+    thetas = np.sort(np.mod(np.angle(evals), 2.0 * np.pi), axis=-1)
+    det_defect = float(np.max(np.abs(dets + 1.0)))
+    return BandStructure(xs=xs, ys=ys, eigenphases=thetas, det_defect=det_defect, params=params)
 
 
 # ---------------------------------------------------------------------------

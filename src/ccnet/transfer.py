@@ -30,7 +30,6 @@ __all__ = [
     "Propagator",
     "layer_matrices",
     "cocycle_step",
-    "phase_slotting",
     "propagate",
     "reconstruct_columns",
     "reconstruct_and_verify",
@@ -223,11 +222,6 @@ def _slot_layers(phases: PhaseField, j_lo: int, j_hi: int) -> np.ndarray:
     slots[:, two_m::2] = mid[:, 0::2]             # p_m, even rings
     slots[:, two_m + 1 :: 2] = np.conj(mid[:, 1::2])  # p_m, odd rings conjugated
     return slots
-
-
-def phase_slotting(phases: PhaseField, j: int) -> LayerPhases:
-    """Slot the site phases of columns 2j .. 2j+2 into one cocycle layer."""
-    return LayerPhases(M=phases.M, phases=_slot_layers(phases, j, j + 1)[0])
 
 
 def propagate(z: complex, phases: PhaseField, L: int, params: ModelParams) -> Propagator:

@@ -229,6 +229,17 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
         (["lyapunov", "--z", "nan,0"], "--z"),
         (["lyapunov", "--z", "1,inf"], "--z"),
         (["dos", "--moment-tol", "nan"], "--moment-tol"),
+        # an empty list runs nothing: a traceback, or an exit 0 for no check
+        (["dos", "--M", ""], "--M"),
+        (["lyapunov", "--r", "0.6", "--M", "", "--steps", "40"], "--M"),
+        (["lyapunov", "--r", "0.6", "--M", "1", "--z", ";", "--steps", "40"], "--z"),
+        # seeds feed np.random.default_rng, which refuses negative ones
+        (["lyapunov", "--seeds", "-1"], "--seeds"),
+        (["xi-scaling", "--seeds", "-3"], "--seeds"),
+        (["det-check", "--seeds", "-7654322"], "--seeds"),
+        (["dos", "--seeds", "-1"], "--seeds"),
+        (["decay", "--seeds", "-1"], "--seeds"),
+        (["dump", "--seeds", "-1"], "--seeds"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -494,7 +505,7 @@ def test_dump_operator_round_trip(tmp_path):
     for line in out.read_text().splitlines()[1:]:
         i, j, re, im = line.split(",")
         dense[int(i), int(j)] = float(re) + 1j * float(im)
-    assert np.array_equal(dense, op.to_dense())
+    assert np.array_equal(dense, op.matrix.toarray())
 
 
 def test_workers_parallel_matches_serial(tmp_path):

@@ -17,7 +17,6 @@ from ccnet import (
     lyapunov_spectrum,
     thouless_rhs,
     xi_upper_bound,
-    z_independence_check,
 )
 from ccnet import lyapunov
 from ccnet.lyapunov import BATCH_COUNT, _COND_CAP, _qr_positive, _step_condition
@@ -449,25 +448,21 @@ def test_localization_length_m1_critical(critical):
 # z-independence
 
 
+def _on_circle_pair(params, M, z2, n_steps, seeds):
+    """Spectra at z = 1 and at z2 from the two seeds, stepped as one batch."""
+    return lyapunov_spectra(
+        CocycleRunConfig(params=params, M=M, n_steps=n_steps, seed=seed, z=z)
+        for z, seed in zip((1.0, z2), seeds)
+    )
+
+
 def test_z_independence_same_seed_identical(critical):
-    rep = z_independence_check(critical, 2, 1.0, 1.0, 5000, (3, 3))
-    assert np.array_equal(rep.lambda1, rep.lambda2)
-    assert rep.all_pass
+    r1, r2 = _on_circle_pair(critical, 2, 1.0, 5000, (3, 3))
+    assert np.array_equal(r1.exponents, r2.exponents)
+    assert np.array_equal(r1.stderrs, r2.stderrs)
 
 
 def test_z_independence_passes_on_circle(critical):
-    rep = z_independence_check(critical, 2, 1.0, np.exp(1j * np.pi / 5), 40_000, (1, 2))
-    assert rep.all_pass
-
-
-def test_z_independence_runs_the_two_solo_chains(critical):
-    z2 = np.exp(1j * np.pi / 5)
-    rep = z_independence_check(critical, 2, 1.0, z2, 3000, (4, 5))
-    for z, seed, got in ((1.0, 4, rep.lambda1), (z2, 5, rep.lambda2)):
-        solo = _run(critical, 2, 3000, seed, z=z)
-        assert np.array_equal(got, solo.exponents)
-
-
-def test_z_independence_rejects_off_circle(critical):
-    with pytest.raises(ValueError):
-        z_independence_check(critical, 2, 1.0, 2.0, 1000, (1, 2))
+    r1, r2 = _on_circle_pair(critical, 2, np.exp(1j * np.pi / 5), 40_000, (1, 2))
+    sigma = np.sqrt(r1.stderrs**2 + r2.stderrs**2)
+    assert np.all(np.abs(r1.exponents - r2.exponents) <= 3.0 * sigma)

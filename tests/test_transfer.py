@@ -9,13 +9,13 @@ from ccnet import (
     cocycle_step,
     form_signature,
     layer_matrices,
-    phase_slotting,
     propagate,
     reconstruct_and_verify,
     reconstruct_columns,
     sample_phase_field,
 )
 from ccnet.spectral import band_symbol
+from ccnet.transfer import _slot_layers
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +173,15 @@ def test_cocycle_step_matches_dense_oracle(rng, lopsided):
 # slotting
 
 
+def _layer(phases, j):
+    """The slotted phases of layer j (columns 2j .. 2j+2) as one cocycle layer."""
+    return LayerPhases(M=phases.M, phases=_slot_layers(phases, j, j + 1)[0])
+
+
 def test_slotting_all_ones():
     field = sample_phase_field(0, 2, 2)
     trivial = type(field)(L=2, M=2, seed=0, values=np.ones_like(field.values))
-    layer = phase_slotting(trivial, 0)
-    assert np.allclose(layer.phases, 1.0, atol=0)
+    assert np.allclose(_slot_layers(trivial, -2, 2), 1.0, atol=0)
 
 
 def test_slotting_m1_site_groups():
@@ -186,26 +190,25 @@ def test_slotting_m1_site_groups():
     # column 2j+1 (middle slots)
     field = sample_phase_field(5, 2, 1)
     j = 0
-    layer = phase_slotting(field, j)
-    assert layer.phases[1] == np.conj(field.phase(2 * j, 1))       # p_r group
-    assert layer.phases[0] == field.phase(2 * j + 2, 0)            # p_l group
-    assert layer.phases[2] == field.phase(2 * j + 1, 0)            # p_m group
-    assert layer.phases[3] == np.conj(field.phase(2 * j + 1, 1))   # p_m group
+    (slots,) = _slot_layers(field, j, j + 1)
+    column = field.values[2 * j + 2 * field.L :]  # column[c] holds column 2j + c
+    assert slots[1] == np.conj(column[0, 1])  # p_r group
+    assert slots[0] == column[2, 0]           # p_l group
+    assert slots[2] == column[1, 0]           # p_m group
+    assert slots[3] == np.conj(column[1, 1])  # p_m group
 
 
 def test_slotting_injective_on_sites():
     # distinct slots read distinct sites; consecutive layers share no site
     field = sample_phase_field(6, 2, 3)
-    layer0 = phase_slotting(field, -1)
-    layer1 = phase_slotting(field, 0)
-    pool = np.concatenate([layer0.phases, layer1.phases])
+    pool = _slot_layers(field, -1, 1).ravel()
     assert len(np.unique(pool)) == pool.size
 
 
 def test_slotting_window_error():
     field = sample_phase_field(6, 1, 2)
     with pytest.raises(ValueError):
-        phase_slotting(field, 1)
+        _slot_layers(field, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,7 @@ def test_reconstruct_matches_propagator(rng, lopsided):
     psi0 = rng.standard_normal(2 * M) + 1j * rng.standard_normal(2 * M)
     cols = reconstruct_columns(z, phases, psi0, L, lopsided)
     for j in range(0, L):
-        step = cocycle_step(z, phase_slotting(phases, j), lopsided)
+        step = cocycle_step(z, _layer(phases, j), lopsided)
         assert np.max(np.abs(step.matrix @ cols[2 * j] - cols[2 * j + 2])) <= 1e-10 * np.max(
             np.abs(cols)
         )
@@ -295,7 +298,7 @@ def test_reconstruct_matches_propagator(rng, lopsided):
     for zz in (z, 1.4 * np.exp(-0.3j)):
         oracle = np.eye(2 * M, dtype=complex)
         for j in range(-L, L):
-            oracle = cocycle_step(zz, phase_slotting(phases, j), lopsided).matrix @ oracle
+            oracle = cocycle_step(zz, _layer(phases, j), lopsided).matrix @ oracle
         prop = propagate(zz, phases, L, lopsided).matrix
         assert np.linalg.norm(prop - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
