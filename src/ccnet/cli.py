@@ -429,6 +429,8 @@ def cmd_decay(args, parser) -> int:
 
 
 def cmd_dump(args, parser) -> int:
+    if args.format != "csv":
+        parser.error(f"--format {args.format}: dump writes CSV only")
     params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
     M, L, seed = _one(parser, args, "M"), args.L, _one(parser, args, "seeds")
     phases = sample_phase_field(seed, L, M)
@@ -581,7 +583,10 @@ def _apply_config_file(parser, argv):
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         parser.error("--config needs a path")
-    values = _load_config_file(argv[idx + 1])
+    try:
+        values = _load_config_file(argv[idx + 1])
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
     extra = []
     given = {tok.split("=")[0] for tok in argv if tok.startswith("--")}
     for key, val in values.items():
@@ -601,9 +606,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "workers", None) is None:
         args.workers = _default_workers(parser) if hasattr(args, "workers") else 1
-    # an empty list would run no cell and pass, or fail inside the run
-    for name in ("seeds", "M", "z"):
-        if hasattr(args, name) and not getattr(args, name):
+    # an empty list would run no cell and pass, fail inside the run, or (--r)
+    # silently run the default
+    for name in ("seeds", "M", "z", "r"):
+        if getattr(args, name, None) == []:
             parser.error(f"--{name} must be non-empty")
     for name, least in _FLAG_MINIMUMS.items():
         values = getattr(args, name, least)

@@ -210,18 +210,13 @@ def phase_reduction(node_seed):
     reduced = reduce_phases(nodes, L, M)
     full = build_full_cylinder_operator(params, nodes, L, M).matrix.toarray()
     red = build_cylinder_operator(params, reduced, L, M)
+    p = np.moveaxis(nodes.values, -1, 0)  # p[n][i, k]: phase n of pair i, k
+    own, left = p[:, 1:-1], p[:, :-2]  # pairs at even column c and c - 2
     d2 = np.empty((4 * L + 1, 2 * M), dtype=complex)  # site order of U^D
-    for c in range(-2 * L, 2 * L + 1):
-        for m in range(2 * M):
-            if c % 2 == 0 and m % 2 == 0:
-                q = nodes.six(c, m)[2]
-            elif c % 2 == 1 and m % 2 == 1:
-                q = np.conj(nodes.six(c - 1, m - 1)[2])
-            elif c % 2 == 0:
-                q = nodes.six(c - 2, m - 1)[5]
-            else:
-                q = np.conj(nodes.six(c - 1, m - 2)[5])
-            d2[c + 2 * L, m] = q
+    d2[0::2, 0::2] = own[2]
+    d2[1::2, 1::2] = np.conj(own[2, :-1])
+    d2[0::2, 1::2] = left[5]
+    d2[1::2, 0::2] = np.conj(np.roll(own[5, :-1], 1, axis=1))
     d2 = d2.ravel()
     conjugated = d2[:, None] * full * np.conj(d2)
     walls = [red.index(-2 * L, 2 * k + 2) for k in range(M)] + [
@@ -229,7 +224,7 @@ def phase_reduction(node_seed):
     ]
     interior = np.delete(np.arange(red.dim), walls)
     defect = float(np.max(np.abs(conjugated[interior] - red.matrix.toarray()[interior])))
-    trivial = NodePhaseField(M=M, nodes={key: np.ones(6, complex) for key in nodes.nodes})
+    trivial = NodePhaseField(L=L, M=M, values=np.ones_like(nodes.values))
     ones = np.max(np.abs(reduce_phases(trivial, L, M).values - 1.0)) <= 1e-14
     unit = np.max(np.abs(np.abs(reduced.values) - 1.0)) <= 1e-14
     ok = defect <= 1e-13 and ones and unit

@@ -93,10 +93,6 @@ class LyapunovResult:
     def M(self) -> int:
         return self.exponents.size // 2
 
-    @property
-    def gammas(self) -> np.ndarray:
-        return np.exp(self.exponents)
-
     def mean_top(self) -> float:
         """Average of the first M exponents, the Thouless-formula observable."""
         return float(np.mean(self.exponents[: self.M]))

@@ -133,7 +133,6 @@ class PhaseField:
 
     L: int
     M: int
-    seed: int
     values: np.ndarray = field(repr=False)  # (4L+1, 2M), columns -2L..2L
 
     def __post_init__(self):
@@ -168,37 +167,53 @@ def sample_phase_field(seed: int, L: int, M: int) -> PhaseField:
     rings = np.arange(2 * M)
     jj, kk = np.meshgrid(cols, rings, indexing="ij")
     values = _site_phases(seed, jj.ravel(), kk.ravel()).reshape(4 * L + 1, 2 * M)
-    return PhaseField(L=L, M=M, seed=seed, values=values)
+    return PhaseField(L=L, M=M, values=values)
 
 
 @dataclass(frozen=True)
 class NodePhaseField:
-    """Six phases per node pair, keyed by the even node position (2j, 2k).
+    """Six unit phases per node pair on the node columns -2L-2, -2L, .., 2L+2.
 
-    Entries 0..2 phase the even node at (2j, 2k), entries 3..5 the odd node
-    at (2j+1, 2k+1).  Only used to exercise the phase reduction; production
-    disorder is the reduced ``PhaseField``.
+    ``values[i, k]`` phases the pair whose even node sits at (2i - 2L - 2,
+    2k): entries 0..2 the even node, entries 3..5 the odd node at
+    (2i - 2L - 1, 2k + 1).  Only used to exercise the phase reduction;
+    production disorder is the reduced ``PhaseField``.
     """
 
+    L: int
     M: int
-    nodes: dict = field(repr=False)  # (2j, 2k) -> ndarray(6,) of unit phases
+    values: np.ndarray = field(repr=False)  # (2L+3, M, 6)
 
-    def six(self, col: int, ring: int) -> np.ndarray:
-        key = (col, ring % (2 * self.M))
-        try:
-            return self.nodes[key]
-        except KeyError:
-            raise ValueError(f"node pair {key} missing from NodePhaseField") from None
+    def __post_init__(self):
+        expected = (2 * self.L + 3, self.M, 6)
+        if self.values.shape != expected:
+            raise ValueError(f"node phase array shape {self.values.shape} != {expected}")
+        if np.max(np.abs(np.abs(self.values) - 1.0)) > _UNIT_TOL:
+            raise ValueError("node phases must be unit modulus")
+
+    def window(self, L: int, M: int) -> np.ndarray:
+        """The (2L+3, M, 6) node pairs at columns -2L-2, .., 2L+2."""
+        if self.M != M or not 0 <= L <= self.L:
+            raise ValueError(
+                f"node field (L={self.L}, M={self.M}) does not cover window (L={L}, M={M})"
+            )
+        return self.values[self.L - L : self.L + L + 3]
 
 
 def sample_node_phases(seed: int, L: int, M: int) -> NodePhaseField:
     """Six i.i.d. phases per node pair, covering reductions on the (L, M) window."""
-    nodes = {}
     rng = np.random.default_rng(seed)
-    for col in range(-2 * L - 2, 2 * L + 3, 2):
-        for ring in range(0, 2 * M, 2):
-            nodes[(col, ring)] = np.exp(2j * np.pi * rng.random(6))
-    return NodePhaseField(M=M, nodes=nodes)
+    return NodePhaseField(L=L, M=M, values=np.exp(2j * np.pi * rng.random((2 * L + 3, M, 6))))
+
+
+def _node_blocks(q: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Six-phase node blocks diag(q1 q2, q1 conj(q2)) [[t, -r], [r, t]] diag(q3, conj(q3)).
+
+    ``q`` holds (q1, q2, q3) on its last axis; the blocks keep its leading axes.
+    """
+    q1, q2, q3 = np.moveaxis(q, -1, 0)
+    right = np.stack([q3, np.conj(q3)], axis=-1)[..., None, :]
+    return _reduced_blocks(q1 * q2, q1 * np.conj(q2), params) * right
 
 
 def scattering_matrix(q, params: ModelParams) -> np.ndarray:
@@ -206,14 +221,10 @@ def scattering_matrix(q, params: ModelParams) -> np.ndarray:
 
     Unitary for unit phases, with det = q1^2.
     """
-    q1, q2, q3 = (complex(x) for x in q)
-    for x in (q1, q2, q3):
-        if abs(abs(x) - 1.0) > _UNIT_TOL:
-            raise ValueError(f"scattering phases must be unit modulus, got |q| = {abs(x)!r}")
-    rot = np.array([[params.t, -params.r], [params.r, params.t]], dtype=complex)
-    left = np.array([[q1 * q2, 0.0], [0.0, q1 * np.conj(q2)]])
-    right = np.array([[q3, 0.0], [0.0, np.conj(q3)]])
-    return left @ rot @ right
+    q = np.asarray(q, dtype=complex)
+    if np.max(np.abs(np.abs(q) - 1.0)) > _UNIT_TOL:
+        raise ValueError(f"scattering phases must be unit modulus, got |q| = {np.abs(q)}")
+    return _node_blocks(q, params)
 
 
 def reduce_phases(full: NodePhaseField, L: int, M: int) -> PhaseField:
@@ -224,35 +235,18 @@ def reduce_phases(full: NodePhaseField, L: int, M: int) -> PhaseField:
     maximal rank on the phase angles, so i.i.d. uniform inputs give i.i.d.
     uniform outputs.
     """
-    if full.M != M:
-        raise ValueError(f"node field has M={full.M}, requested M={M}")
-    two_m = 2 * M
-    values = np.empty((4 * L + 1, two_m), dtype=complex)
-    for col in range(-2 * L, 2 * L + 1):
-        for ring in range(two_m):
-            cpar, rpar = col % 2, ring % 2
-            if cpar == 1 and rpar == 0:
-                # site (2j+1, 2k): conj(p6) of pair below, p1 p2 of own pair
-                p_own = full.six(col - 1, ring)
-                p_dn = full.six(col - 1, ring - 2)
-                values[col + 2 * L, ring] = np.conj(p_dn[5]) * p_own[0] * p_own[1]
-            elif cpar == 0 and rpar == 1:
-                # site (2j, 2k+1): p6 of pair to the left, p1 conj(p2) of own pair
-                p_own = full.six(col, ring - 1)
-                p_lf = full.six(col - 2, ring - 1)
-                values[col + 2 * L, ring] = p_lf[5] * p_own[0] * np.conj(p_own[1])
-            elif cpar == 0 and rpar == 0:
-                # site (2j+2, 2k+2): p3 of own pair, p4 p5 of pair down-left
-                p_here = full.six(col, ring)
-                p_dl = full.six(col - 2, ring - 2)
-                values[col + 2 * L, ring] = p_here[2] * p_dl[3] * p_dl[4]
-            else:
-                # site (2j+1, 2k+1): conj(p3) of even partner, p4 conj(p5) own
-                p_pair = full.six(col - 1, ring - 1)
-                values[col + 2 * L, ring] = (
-                    np.conj(p_pair[2]) * p_pair[3] * np.conj(p_pair[4])
-                )
-    return PhaseField(L=L, M=M, seed=-1, values=values)
+    p = np.moveaxis(full.window(L, M), -1, 0)  # p[n][i, k]: phase n of pair i, k
+    own, left = p[:, 1:-1], p[:, :-2]  # pairs at even column c and c - 2
+    values = np.empty((4 * L + 1, 2 * M), dtype=complex)
+    # site (2j+1, 2k): conj(p6) of the pair below, p1 p2 of its own pair
+    values[1::2, 0::2] = np.conj(np.roll(own[5, :-1], 1, axis=1)) * own[0, :-1] * own[1, :-1]
+    # site (2j, 2k+1): p6 of the pair to the left, p1 conj(p2) of its own pair
+    values[0::2, 1::2] = left[5] * own[0] * np.conj(own[1])
+    # site (2j+2, 2k+2): p3 of its own pair, p4 p5 of the pair down-left
+    values[0::2, 0::2] = own[2] * np.roll(left[3], 1, axis=1) * np.roll(left[4], 1, axis=1)
+    # site (2j+1, 2k+1): conj(p3) of the even partner, p4 conj(p5) of its own pair
+    values[1::2, 1::2] = np.conj(own[2, :-1]) * own[3, :-1] * np.conj(own[4, :-1])
+    return PhaseField(L=L, M=M, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -365,67 +359,43 @@ def build_full_cylinder_operator(
     params: ModelParams, nodes: NodePhaseField, L: int, M: int
 ) -> FiniteOperator:
     """Same window and walls, but with the unreduced six-phase node blocks."""
-    blocks = [
-        [
-            [scattering_matrix(nodes.six(c, 2 * k)[half], params) for k in range(M)]
-            for c in range(-2 * L, 2 * L, 2)
-        ]
-        for half in (slice(0, 3), slice(3, 6))
-    ]
-    even, odd = np.asarray(blocks, dtype=complex).reshape(2, 2 * L, M, 2, 2)
+    pairs = nodes.window(L, M)[1:-2]  # the node columns -2L, .., 2L-2
+    even, odd = _node_blocks(pairs[..., :3], params), _node_blocks(pairs[..., 3:], params)
     return _assemble(params, L, M, even, odd)
 
 
-def _invariant_quadruples(op: FiniteOperator):
-    """The rt = 0 invariant four-site subspaces, as flat index quadruples.
+def _block_labels(op: FiniteOperator) -> np.ndarray:
+    """The rt = 0 invariant four-site block of every site, -1 outside all blocks.
 
     For r = 0 the cycle through (2j, 2k) is
     (2j,2k) -> (2j+1,2k) -> (2j+1,2k-1) -> (2j,2k-1) -> back;
     for t = 0 it is (2j,2k) -> (2j,2k+1) -> (2j-1,2k+1) -> (2j-1,2k) -> back.
-    Wall rules close the j = -L (r=0) and j = L (t=0) quadruples.
+    Wall rules close the j = -L (r=0) and j = L (t=0) blocks.  Returned in
+    the flat site order of ``op``.
     """
     L, M = op.L, op.M
-    quads = []
+    # block (i, k) on the column pair (2i, 2i+1) and ring pair (2k, 2k+1), counted from -2L
+    ids = np.arange(2 * L * M).reshape(2 * L, M)
+    blocks = np.repeat(np.repeat(ids, 2, axis=0), 2, axis=1)
+    labels = np.full((4 * L + 1, 2 * M), -1)
     if op.params.r == 0.0:
-        for c in range(-2 * L, 2 * L - 1, 2):  # even columns -2L .. 2L-2
-            for k in range(M):
-                quads.append(
-                    [
-                        op.index(c, 2 * k),
-                        op.index(c + 1, 2 * k),
-                        op.index(c + 1, 2 * k - 1),
-                        op.index(c, 2 * k - 1),
-                    ]
-                )
+        # columns (2j, 2j+1) for 2j = -2L .. 2L-2, rings (2k-1, 2k)
+        labels[:-1] = np.roll(blocks, -1, axis=1)
     else:
-        for c in range(-2 * L + 2, 2 * L + 1, 2):  # even columns -2L+2 .. 2L
-            for k in range(M):
-                quads.append(
-                    [
-                        op.index(c, 2 * k),
-                        op.index(c, 2 * k + 1),
-                        op.index(c - 1, 2 * k + 1),
-                        op.index(c - 1, 2 * k),
-                    ]
-                )
-    return quads
+        # columns (2j-1, 2j) for 2j = -2L+2 .. 2L, rings (2k, 2k+1)
+        labels[1:] = blocks
+    return labels.ravel()
 
 
 def extreme_block_check(op: FiniteOperator) -> float:
     """Leakage of an rt = 0 operator out of its invariant 4-site subspaces.
 
-    Returns the largest matrix element connecting a quadruple to its
+    Returns the largest matrix element connecting a block to its
     complement; exact invariance means 0.0.
     """
     if op.params.rt != 0.0:
         raise ValueError("extreme_block_check requires rt = 0")
-    mat = op.matrix.tocsc()
-    defect = 0.0
-    for quad in _invariant_quadruples(op):
-        inside = np.zeros(op.dim, dtype=bool)
-        inside[quad] = True
-        sub = mat[:, quad].toarray()
-        leak = np.abs(sub[~inside, :])
-        if leak.size:
-            defect = max(defect, float(leak.max()))
-    return defect
+    labels = _block_labels(op)
+    coo = op.matrix.tocoo()
+    leaks = (labels[coo.col] >= 0) & (labels[coo.row] != labels[coo.col])
+    return float(np.abs(coo.data[leaks]).max(initial=0.0))

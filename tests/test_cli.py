@@ -233,6 +233,11 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
         (["dos", "--M", ""], "--M"),
         (["lyapunov", "--r", "0.6", "--M", "", "--steps", "40"], "--M"),
         (["lyapunov", "--r", "0.6", "--M", "1", "--z", ";", "--steps", "40"], "--z"),
+        # an empty --r used to run the default r values
+        (["lyapunov", "--r", "", "--M", "1", "--steps", "40"], "--r"),
+        (["dos", "--r", ""], "--r"),
+        # dump writes CSV only; json used to be accepted and CSV written
+        (["dump", "--format", "json"], "--format"),
         # seeds feed np.random.default_rng, which refuses negative ones
         (["lyapunov", "--seeds", "-1"], "--seeds"),
         (["xi-scaling", "--seeds", "-3"], "--seeds"),
@@ -262,7 +267,7 @@ def test_det_check_tolerance_is_not_a_flag(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_config_file_defaults_and_flag_override(tmp_path):
+def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep defaults\nr = 0.6\nsteps = 3000\nseeds = 9\nM = 1\n")
     out = tmp_path / "out.csv"
@@ -275,6 +280,14 @@ def test_config_file_defaults_and_flag_override(tmp_path):
     with pytest.raises(SystemExit) as exc:  # verify takes no --config
         main(["verify", "--config", str(cfg)])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # a line without '=' and a missing file are usage errors, not tracebacks
+    cfg.write_text("r = 0.6\nsteps 3000\n")
+    for path in (cfg, tmp_path / "missing.cfg"):
+        with pytest.raises(SystemExit) as exc:
+            main(["lyapunov", "--config", str(path), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "error: --config: " in capsys.readouterr().err
 
 
 def test_det_check_command(tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from ccnet import (
+    FiniteOperator,
     ModelParams,
     NodePhaseField,
     PhaseField,
     build_cylinder_operator,
+    build_full_cylinder_operator,
     extreme_block_check,
     invariants,
     reduce_phases,
@@ -13,6 +15,7 @@ from ccnet import (
     sample_phase_field,
     scattering_matrix,
 )
+from ccnet.model import _block_labels
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +135,64 @@ def test_phase_field_export_triples():
 
 
 def _trivial_nodes(L, M):
-    keys = sample_node_phases(0, L, M).nodes.keys()
-    return NodePhaseField(M=M, nodes={k: np.ones(6, dtype=complex) for k in keys})
+    return NodePhaseField(L=L, M=M, values=np.ones((2 * L + 3, M, 6), dtype=complex))
+
+
+def _six(nodes, col, ring):
+    """The six phases of the node pair whose even node sits at (col, ring)."""
+    return nodes.values[(col + 2 * nodes.L + 2) // 2, (ring % (2 * nodes.M)) // 2]
+
+
+def _reduce_phases_oracle(full, L, M):
+    """The per-site loop ``reduce_phases`` replaced, kept as its oracle."""
+    two_m = 2 * M
+    values = np.empty((4 * L + 1, two_m), dtype=complex)
+    for col in range(-2 * L, 2 * L + 1):
+        for ring in range(two_m):
+            cpar, rpar = col % 2, ring % 2
+            if cpar == 1 and rpar == 0:
+                # site (2j+1, 2k): conj(p6) of pair below, p1 p2 of own pair
+                p_own = _six(full, col - 1, ring)
+                p_dn = _six(full, col - 1, ring - 2)
+                values[col + 2 * L, ring] = np.conj(p_dn[5]) * p_own[0] * p_own[1]
+            elif cpar == 0 and rpar == 1:
+                # site (2j, 2k+1): p6 of pair to the left, p1 conj(p2) of own pair
+                p_own = _six(full, col, ring - 1)
+                p_lf = _six(full, col - 2, ring - 1)
+                values[col + 2 * L, ring] = p_lf[5] * p_own[0] * np.conj(p_own[1])
+            elif cpar == 0 and rpar == 0:
+                # site (2j+2, 2k+2): p3 of own pair, p4 p5 of pair down-left
+                p_here = _six(full, col, ring)
+                p_dl = _six(full, col - 2, ring - 2)
+                values[col + 2 * L, ring] = p_here[2] * p_dl[3] * p_dl[4]
+            else:
+                # site (2j+1, 2k+1): conj(p3) of even partner, p4 conj(p5) own
+                p_pair = _six(full, col - 1, ring - 1)
+                values[col + 2 * L, ring] = (
+                    np.conj(p_pair[2]) * p_pair[3] * np.conj(p_pair[4])
+                )
+    return values
+
+
+def test_reduce_matches_per_site_oracle():
+    for seed in range(6):
+        for L, M in ((0, 1), (1, 1), (1, 2), (2, 3), (3, 4)):
+            nodes = sample_node_phases(seed, L, M)
+            for window_L in range(L + 1):  # a field covering a larger window
+                reduced = reduce_phases(nodes, window_L, M)
+                assert reduced.values.shape == (4 * window_L + 1, 2 * M)
+                oracle = _reduce_phases_oracle(nodes, window_L, M)
+                assert np.max(np.abs(reduced.values - oracle)) <= 1e-15
+
+
+def test_node_phases_draw_in_column_ring_order():
+    # one rng.random(6) per node pair, columns outer and ring pairs inner
+    L, M = 2, 3
+    nodes = sample_node_phases(9, L, M)
+    rng = np.random.default_rng(9)
+    for col in range(-2 * L - 2, 2 * L + 3, 2):
+        for ring in range(0, 2 * M, 2):
+            assert np.array_equal(_six(nodes, col, ring), np.exp(2j * np.pi * rng.random(6)))
 
 
 def test_reduce_all_ones_is_all_ones():
@@ -146,7 +205,7 @@ def test_reduce_single_node_phase_lands_on_site():
     # the site phase at (1, 0) must be exactly exp(i alpha)
     alpha = 0.731
     field = _trivial_nodes(2, 2)
-    field.nodes[(0, 0)] = np.array([np.exp(1j * alpha), 1, 1, 1, 1, 1], dtype=complex)
+    field.values[3, 0, 0] = np.exp(1j * alpha)  # pair row (0 + 2L + 2) / 2
     reduced = reduce_phases(field, 2, 2)
     # column c sits at row c + 2L of the values
     assert reduced.values[1 + 4, 0] == pytest.approx(np.exp(1j * alpha), abs=1e-14)
@@ -158,11 +217,23 @@ def test_reduce_outputs_unit_modulus():
     assert np.max(np.abs(np.abs(reduced.values) - 1.0)) <= 1e-14
 
 
-def test_reduce_missing_node_raises():
+def test_reduce_missing_node_raises(lopsided):
+    # a node field that does not cover the window misses the nodes it needs
     field = _trivial_nodes(1, 1)
-    del field.nodes[(0, 0)]
+    for L, M in ((2, 1), (1, 2)):
+        with pytest.raises(ValueError):
+            reduce_phases(field, L, M)
+        with pytest.raises(ValueError):
+            build_full_cylinder_operator(lopsided, field, L, M)
+
+
+def test_node_field_rejects_bad_shape_and_moduli():
     with pytest.raises(ValueError):
-        reduce_phases(field, 1, 1)
+        NodePhaseField(L=1, M=1, values=np.ones((4, 1, 6), dtype=complex))
+    values = np.ones((5, 1, 6), dtype=complex)
+    values[2, 0, 4] = 1.0 + 1e-6
+    with pytest.raises(ValueError):
+        NodePhaseField(L=1, M=1, values=values)
 
 
 def test_reduce_outputs_uncorrelated():
@@ -195,7 +266,7 @@ def test_phase_reduction_invariant_catches_conjugated_reduction(monkeypatch):
 
     def conjugated(nodes, L, M):
         field = reduce(nodes, L, M)
-        return PhaseField(L=field.L, M=field.M, seed=field.seed, values=np.conj(field.values))
+        return PhaseField(L=field.L, M=field.M, values=np.conj(field.values))
 
     monkeypatch.setattr(invariants, "reduce_phases", conjugated)
     # the check exactly as verify runs it
@@ -223,8 +294,7 @@ def test_operator_smallest_window_is_ring_shift(lopsided):
 def test_operator_hand_assembled_m1_l1():
     # trivial phases, M = 1, L = 1: all entries written out from the node rules
     p = ModelParams(0.6, 0.8)
-    phases = sample_phase_field(0, 1, 1)
-    trivial = type(phases)(L=1, M=1, seed=0, values=np.ones_like(phases.values))
+    trivial = PhaseField(L=1, M=1, values=np.ones((5, 2), dtype=complex))
     op = build_cylinder_operator(p, trivial, 1, 1)
     r, t = 0.6, 0.8
     expected = np.zeros((10, 10), dtype=complex)
@@ -332,6 +402,70 @@ def test_extreme_block_check_rejects_transport(lopsided):
     op = build_cylinder_operator(lopsided, sample_phase_field(21, 1, 1), 1, 1)
     with pytest.raises(ValueError):
         extreme_block_check(op)
+
+
+def _invariant_quadruples(op):
+    """The rt = 0 blocks enumerated one by one, kept as the oracle of the labels."""
+    L, M = op.L, op.M
+    quads = []
+    if op.params.r == 0.0:
+        for c in range(-2 * L, 2 * L - 1, 2):  # even columns -2L .. 2L-2
+            for k in range(M):
+                quads.append(
+                    [
+                        op.index(c, 2 * k),
+                        op.index(c + 1, 2 * k),
+                        op.index(c + 1, 2 * k - 1),
+                        op.index(c, 2 * k - 1),
+                    ]
+                )
+    else:
+        for c in range(-2 * L + 2, 2 * L + 1, 2):  # even columns -2L+2 .. 2L
+            for k in range(M):
+                quads.append(
+                    [
+                        op.index(c, 2 * k),
+                        op.index(c, 2 * k + 1),
+                        op.index(c - 1, 2 * k + 1),
+                        op.index(c - 1, 2 * k),
+                    ]
+                )
+    return quads
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_block_labels_match_quadruple_oracle(r):
+    p = ModelParams.from_r(r)
+    for L in range(4):
+        for M in range(1, 5):
+            op = build_cylinder_operator(p, sample_phase_field(3, L, M), L, M)
+            labels = _block_labels(op)
+            blocks = {}
+            for site, label in enumerate(labels):
+                if label >= 0:
+                    blocks.setdefault(label, []).append(site)
+            expected = sorted(sorted(quad) for quad in _invariant_quadruples(op))
+            assert sorted(blocks.values()) == expected
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_extreme_block_check_reads_planted_leak(r, rng):
+    # one entry from a block column to a site outside that block is exactly
+    # the leakage reported
+    from scipy import sparse
+
+    L, M = 2, 2
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(21, L, M), L, M)
+    quads = _invariant_quadruples(op)
+    for _ in range(5):
+        quad = quads[rng.integers(len(quads))]
+        col = quad[rng.integers(4)]
+        row = rng.choice(np.setdiff1d(np.arange(op.dim), quad))
+        modulus = 0.1 + rng.random()
+        value = modulus * (1, 1j, -1, -1j)[rng.integers(4)]  # one zero part: exact modulus
+        plant = sparse.csr_matrix(([value], ([row], [col])), shape=op.matrix.shape)
+        leaky = FiniteOperator(L=L, M=M, params=op.params, matrix=op.matrix + plant)
+        assert extreme_block_check(leaky) == modulus
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0])

@@ -552,7 +552,7 @@ def test_decay_fit_compact_support_at_r0():
 
 def test_decay_fit_plane_waves_not_localized(lopsided):
     phases = sample_phase_field(0, 12, 2)
-    trivial = type(phases)(L=12, M=2, seed=0, values=np.ones_like(phases.values))
+    trivial = type(phases)(L=12, M=2, values=np.ones_like(phases.values))
     op = build_cylinder_operator(lopsided, trivial, 12, 2)
     indices = range(0, op.dim, 9)
     spec = eigendecompose(op, indices)

@@ -180,7 +180,7 @@ def _layer(phases, j):
 
 def test_slotting_all_ones():
     field = sample_phase_field(0, 2, 2)
-    trivial = type(field)(L=2, M=2, seed=0, values=np.ones_like(field.values))
+    trivial = type(field)(L=2, M=2, values=np.ones_like(field.values))
     assert np.allclose(_slot_layers(trivial, -2, 2), 1.0, atol=0)
 
 
@@ -338,7 +338,7 @@ def test_reconstruct_plane_wave_bounded(critical):
     w = np.linalg.eigvals(band_symbol(x, y, critical))[0]
     z = np.sqrt(w)
     phases = sample_phase_field(0, 8, M)
-    trivial = type(phases)(L=8, M=M, seed=0, values=np.ones_like(phases.values))
+    trivial = type(phases)(L=8, M=M, values=np.ones_like(phases.values))
     step = cocycle_step(z, LayerPhases.ones(M), critical)
     evals, evecs = np.linalg.eig(step.matrix)
     on_circle = np.argmin(np.abs(np.abs(evals) - 1.0))
