@@ -50,45 +50,45 @@ from .spectral import (
 )
 
 DEFAULT_R_GRID = [0.6, 0.66, math.sqrt(0.5), math.sqrt(1 - 0.66**2), 0.8]
-# least accepted value of each integer flag, wherever a subcommand has it
-_FLAG_MINIMUMS = {
-    "workers": 1,
-    "seeds": 0,
-    "M": 1,
-    "L": 0,
-    "steps": BATCH_COUNT,
-    "moments": 1,
-    "bins": 1,
-    "max_fits": 1,
-    "nx": 1,
-    "ny": 1,
-    "z_count": 1,
-}
+_SEED_MAX = 2**63 - 1  # the site-phase hash reads a seed as a signed 64-bit integer
 
 
-def _default_workers(parser: argparse.ArgumentParser) -> int:
-    env = os.environ.get("CCNET_WORKERS")
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        parser.error(f"CCNET_WORKERS must be an integer, got {env!r}")
-    if workers < 1:
-        parser.error(f"CCNET_WORKERS must be >= 1, got {env!r}")
-    return workers
+def _typed(convert, ok, domain: str, shape: str = "scalar"):
+    """The argparse type of a flag whose values ``convert`` and satisfy ``ok``.
+
+    ``shape`` "scalar" reads the text as one value; "list" reads a non-empty
+    comma list (blank items skipped); "one" reads such a list of exactly one
+    value and returns it bare.  ``domain`` words one value for the error.
+    """
+    want = {
+        "scalar": domain,
+        "one": f"one value, {domain}",
+        "list": f"a non-empty comma list, each {domain}",
+    }[shape]
+
+    def parse(text: str):
+        items = [text] if shape == "scalar" else [t for t in text.split(",") if t.strip()]
+        try:
+            values = [convert(item) for item in items]
+        except ValueError:
+            values = []
+        if not values or not all(map(ok, values)) or (shape == "one" and len(values) > 1):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return values if shape == "list" else values[0]
+
+    return parse
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+def _at_least(least: int, shape: str = "scalar"):
+    return _typed(int, lambda n: n >= least, f"an integer >= {least}", shape)
 
 
 def _parse_z(text: str) -> list[tuple[float, float]]:
-    """Parse 'mod,arg_over_pi' pairs separated by ';'."""
+    """Parse 'mod,arg_over_pi' pairs separated by ';' (at least one).
+
+    The cocycle steps with z and 1/z, so the modulus must be positive with
+    it and its inverse finite, and the angle finite.
+    """
     pairs = []
     for chunk in text.split(";"):
         if not chunk.strip():
@@ -98,7 +98,16 @@ def _parse_z(text: str) -> list[tuple[float, float]]:
             raise argparse.ArgumentTypeError(
                 f"z must be 'modulus,angle_over_pi', got {chunk!r}"
             )
-        pairs.append((float(parts[0]), float(parts[1])))
+        mod, arg = float(parts[0]), float(parts[1])
+        # comparisons with nan are false, so these also reject it
+        if not (0 < mod < math.inf and 1 / mod < math.inf and math.isfinite(arg)):
+            raise argparse.ArgumentTypeError(
+                f"z needs a modulus > 0 with it and its inverse finite, and a finite angle, "
+                f"got {chunk!r}"
+            )
+        pairs.append((mod, arg))
+    if not pairs:
+        raise argparse.ArgumentTypeError("z needs at least one 'modulus,angle_over_pi' pair")
     return pairs
 
 
@@ -120,12 +129,6 @@ def _load_config_file(path: str) -> dict:
             key, _, val = stripped.partition("=")
             values[key.strip().replace("-", "_")] = val.strip()
     return values
-
-
-def _params_from_r(parser: argparse.ArgumentParser, r: float) -> ModelParams:
-    if not (0.0 < r < 1.0):
-        parser.error(f"--r: cocycle commands need r strictly inside (0, 1), got {r}")
-    return ModelParams.from_r(r)
 
 
 def _parallel(fn, cells, workers: int):
@@ -158,11 +161,12 @@ def _lyapunov_rows(cell, result):
     failures = []
     target = thouless_rhs(_z_value(*z_pair), params)
     tol = max(0.01, 3.0 * result.mean_top_stderr())
-    if abs(result.mean_top() - target) > tol:
+    # written as "not within" so that a nan exponent fails
+    if not abs(result.mean_top() - target) <= tol:
         failures.append("mean-law")
     # the Lorentz pairing of exponents holds on the unit circle only
-    if on_circle and np.any(
-        result.symmetry_defects() > 3.0 * result.symmetry_sigmas() + 1e-12
+    if on_circle and not np.all(
+        result.symmetry_defects() <= 3.0 * result.symmetry_sigmas() + 1e-12
     ):
         failures.append("symmetry")
     base = dict(
@@ -202,19 +206,17 @@ def _lyapunov_rows(cell, result):
     return rows, failures
 
 
-def _lyapunov_results(args, parser, zs):
+def _lyapunov_results(args, zs):
     """Run the sorted (r, M, z, seed) cells in lockstep batches of equal (M, steps).
 
     Each (M, steps) group is split into at most ``workers`` contiguous,
     near-equal batches, so one M still spreads over the pool; a cell's
-    result does not depend on its batch.  Returns the r grid and the
-    (cell, result) pairs in sorted cell order.
+    result does not depend on its batch.  Returns the (cell, result) pairs
+    in sorted cell order.
     """
-    rs = args.r if args.r else DEFAULT_R_GRID
-    for r in rs:
-        _params_from_r(parser, r)
     cells = sorted(
-        (r, M, z, seed, args.steps) for r in rs for M in args.M for z in zs for seed in args.seeds
+        (r, M, z, seed, args.steps)
+        for r in args.r for M in args.M for z in zs for seed in args.seeds
     )
     groups = {}
     for cell in cells:
@@ -227,28 +229,30 @@ def _lyapunov_results(args, parser, zs):
     results = dict(
         pair for done in _parallel(_lyapunov_group, batches, args.workers) for pair in done
     )
-    return rs, [(cell, results[cell]) for cell in cells]
+    return [(cell, results[cell]) for cell in cells]
 
 
-def cmd_lyapunov(args, parser) -> int:
+def cmd_lyapunov(args) -> int:
     started = time.perf_counter()
-    rs, results = _lyapunov_results(args, parser, args.z)
+    results = _lyapunov_results(args, args.z)
     all_rows, any_fail = [], False
     for cell, result in results:
         rows, failures = _lyapunov_rows(cell, result)
         all_rows.extend(rows)
         any_fail |= bool(failures)
-    _record(args, all_rows, started, r=rs, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps)
+    _record(
+        args, all_rows, started, r=args.r, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps
+    )
     return 1 if any_fail else 0
 
 
-def cmd_xi_scaling(args, parser) -> int:
+def cmd_xi_scaling(args) -> int:
     """The k = M rows of ``lyapunov`` at z = 1, with a status from xi alone.
 
     The config echo adds the crude xi upper bound per (r, M).
     """
     started = time.perf_counter()
-    rs, results = _lyapunov_results(args, parser, [(1.0, 0.0)])
+    results = _lyapunov_results(args, [(1.0, 0.0)])
     view = []
     for cell, result in results:
         rows, _ = _lyapunov_rows(cell, result)
@@ -256,9 +260,9 @@ def cmd_xi_scaling(args, parser) -> int:
         status = "ok" if xi.status == "ok" else "xi " + xi.status
         # rows[k] carries exponent k; xi_M sits on row k = M
         view.append(dict(rows[cell[1]], command="xi-scaling", status=status))
-    bounds = [[r, M, xi_upper_bound(ModelParams.from_r(r), M)] for r in rs for M in args.M]
+    bounds = [[r, M, xi_upper_bound(ModelParams.from_r(r), M)] for r in args.r for M in args.M]
     _record(
-        args, view, started, r=rs, M=args.M, seeds=args.seeds, steps=args.steps,
+        args, view, started, r=args.r, M=args.M, seeds=args.seeds, steps=args.steps,
         xi_upper_bound=bounds,
     )
     return 0
@@ -268,9 +272,8 @@ def cmd_xi_scaling(args, parser) -> int:
 # dos / det-check / bands / decay
 
 
-def cmd_dos(args, parser) -> int:
-    params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
-    M = _one(parser, args, "M")
+def cmd_dos(args) -> int:
+    params, M = ModelParams.from_r(args.r), args.M
     started = time.perf_counter()
     hist = dos_moments(params, M, args.L, args.seeds, K=args.moments, bins=args.bins)
     rows = []
@@ -320,12 +323,10 @@ def cmd_dos(args, parser) -> int:
     return 0 if ok else 1
 
 
-def cmd_det_check(args, parser) -> int:
-    params = _params_from_r(parser, _one(parser, args, "r", 0.6))
-    M, L = _one(parser, args, "M"), args.L
+def cmd_det_check(args) -> int:
+    params, M, L = ModelParams.from_r(args.r), args.M, args.L
     started = time.perf_counter()
     rows = []
-    worst = 0.0
     trial = 0
     for seed in args.seeds:
         phases = sample_phase_field(seed, L, M)
@@ -339,8 +340,6 @@ def cmd_det_check(args, parser) -> int:
                 _z_value(mod, arg), params, M, L, phases, spectrum=spectrum
             )
             trial += 1
-            if check.status == "ok":
-                worst = max(worst, check.rel_error)
             rows.append(
                 canonical_row(
                     command="det-check",
@@ -359,11 +358,12 @@ def cmd_det_check(args, parser) -> int:
                 )
             )
     _record(args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds, z_count=args.z_count)
-    return 0 if worst <= _DET_IDENTITY_TOL else 1
+    # a nan residual is a FAIL row too: take the exit code from the rows
+    return 1 if any(row["status"] == "FAIL" for row in rows) else 0
 
 
-def cmd_bands(args, parser) -> int:
-    params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
+def cmd_bands(args) -> int:
+    params = ModelParams.from_r(args.r)
     started = time.perf_counter()
     structure = band_grid(params, args.nx, args.ny)
     edge = structure.band_edge()
@@ -398,9 +398,8 @@ def cmd_bands(args, parser) -> int:
     return 0 if structure.det_defect <= 1e-12 else 1
 
 
-def cmd_decay(args, parser) -> int:
-    params = _params_from_r(parser, _one(parser, args, "r", 0.95))
-    M, L = _one(parser, args, "M"), args.L
+def cmd_decay(args) -> int:
+    params, M, L = ModelParams.from_r(args.r), args.M, args.L
     started = time.perf_counter()
     rows = []
     for seed in args.seeds:
@@ -428,11 +427,8 @@ def cmd_decay(args, parser) -> int:
     return 0
 
 
-def cmd_dump(args, parser) -> int:
-    if args.format != "csv":
-        parser.error(f"--format {args.format}: dump writes CSV only")
-    params = _params_from_r(parser, _one(parser, args, "r", DEFAULT_R_GRID[2]))
-    M, L, seed = _one(parser, args, "M"), args.L, _one(parser, args, "seeds")
+def cmd_dump(args) -> int:
+    params, M, L, seed = ModelParams.from_r(args.r), args.M, args.L, args.seeds
     phases = sample_phase_field(seed, L, M)
     out = args.out or f"ccnet-{args.what}.csv"
     if args.what == "operator":
@@ -454,7 +450,7 @@ def cmd_dump(args, parser) -> int:
 # verify
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     failures = 0
     started = time.perf_counter()
     for name, check, quick_args, full_args in invariants.CHECKS:
@@ -470,16 +466,6 @@ def cmd_verify(args, parser) -> int:
 
 # ---------------------------------------------------------------------------
 # plumbing
-
-
-def _one(parser, args, name, default=None):
-    """The single value of list flag ``--name`` (``default`` when omitted)."""
-    values = getattr(args, name)
-    if not values:
-        return default
-    if len(values) > 1:
-        parser.error(f"{args.command} takes one --{name} value, got {len(values)}")
-    return values[0]
 
 
 def _record(args, rows, started, **config) -> None:
@@ -506,29 +492,47 @@ def _record(args, rows, started, **config) -> None:
             print({k: v for k, v in row.items() if v is not None})
 
 
-def _add_common(sub):
+def _add_common(sub, r_default: str, one=(), seed_max=math.inf, formats=("csv", "json")):
+    """Add the flags the sweep commands share.
+
+    ``r_default`` is the default --r text.  --r, --M and --seeds take one value when
+    named in ``one``, else a comma list; seeds above ``seed_max`` are refused.
+    """
+    def shape(name):
+        return "one" if name in one else "list"
+
     sub.add_argument("--config", help="flat key=value config file; flags win")
     sub.add_argument("--out", help="output path (stdout summary if omitted)")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv")
+    sub.add_argument("--format", choices=formats, default="csv")
     sub.add_argument(
         "--workers",
-        type=int,
-        default=None,
+        type=_typed(int, lambda n: n >= 1, "a worker count >= 1 (flag or env CCNET_WORKERS)"),
+        default=os.environ.get("CCNET_WORKERS") or "1",
         help="lyapunov/xi-scaling worker processes (env CCNET_WORKERS); other commands ignore it",
     )
-    sub.add_argument("--r", type=_parse_floats, default=None, help="comma list of r values")
-    sub.add_argument("--M", type=_parse_ints, default=[2], help="comma list of strip half-widths")
-    sub.add_argument("--L", type=int, default=2, help="window half-length parameter")
+    sub.add_argument(
+        "--r",
+        type=_typed(float, lambda r: 0 < r < 1, "r strictly inside (0, 1)", shape("r")),
+        default=r_default,
+        help="comma list of r values",
+    )
+    sub.add_argument(
+        "--M", type=_at_least(1, shape("M")), default="2", help="comma list of strip half-widths"
+    )
+    sub.add_argument("--L", type=_at_least(0), default="2", help="window half-length parameter")
+    seed_domain = "a seed >= 0" if seed_max == math.inf else f"a seed in [0, {seed_max}]"
     sub.add_argument(
         "--seeds",
         "--seed",
-        type=_parse_ints,
-        default=[1],
+        type=_typed(int, lambda s: 0 <= s <= seed_max, seed_domain, shape("seeds")),
+        default="1",
         help="comma list of seeds (non-empty)",
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ccnet parser.  Each flag's type states its domain, so parsing is
+    the only validation; --workers defaults to CCNET_WORKERS as read here."""
     parser = argparse.ArgumentParser(
         prog="ccnet",
         description="Cylinder network-model laboratory: cocycles, Lyapunov spectra, spectral checks.",
@@ -536,41 +540,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ccnet {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    ly = subs.add_parser("lyapunov", help="Lyapunov spectrum sweep + mean-law check")
-    _add_common(ly)
-    ly.add_argument("--steps", type=int, default=200_000)
-    ly.add_argument("--z", type=_parse_z, default=[(1.0, 0.0)], help="mod,arg/pi pairs; ';'-separated")
+    def command(name, run, help):
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(run=run)
+        return sub
 
-    xi = subs.add_parser("xi-scaling", help="localization length vs strip width")
-    _add_common(xi)
-    xi.add_argument("--steps", type=int, default=200_000)
+    grid = ",".join(map(repr, DEFAULT_R_GRID))
+    root_half = repr(DEFAULT_R_GRID[2])
+    steps = _at_least(BATCH_COUNT)
 
-    dos = subs.add_parser("dos", help="density-of-states moments and histogram")
-    _add_common(dos)
-    dos.add_argument("--moments", type=int, default=8)
-    dos.add_argument("--bins", type=int, default=64)
-    dos.add_argument("--moment-tol", type=float, default=0.01)
+    ly = command("lyapunov", cmd_lyapunov, "Lyapunov spectrum sweep + mean-law check")
+    _add_common(ly, grid)
+    ly.add_argument("--steps", type=steps, default="200000")
+    ly.add_argument("--z", type=_parse_z, default="1,0", help="mod,arg/pi pairs; ';'-separated")
+
+    xi = command("xi-scaling", cmd_xi_scaling, "localization length vs strip width")
+    _add_common(xi, grid)
+    xi.add_argument("--steps", type=steps, default="200000")
+
+    dos = command("dos", cmd_dos, "density-of-states moments and histogram")
+    _add_common(dos, root_half, one=("r", "M"), seed_max=_SEED_MAX)
+    dos.add_argument("--moments", type=_at_least(1), default="8")
+    dos.add_argument("--bins", type=_at_least(1), default="64")
+    dos.add_argument(
+        "--moment-tol", type=_typed(float, lambda x: 0 < x < math.inf, "a finite real > 0"),
+        default="0.01",
+    )
     dos.add_argument("--hist-out", help="histogram CSV path")
 
-    det = subs.add_parser("det-check", help="determinant identity residuals")
-    _add_common(det)
-    det.add_argument("--z-count", type=int, default=20)
+    det = command("det-check", cmd_det_check, "determinant identity residuals")
+    _add_common(det, "0.6", one=("r", "M"), seed_max=_SEED_MAX)
+    det.add_argument("--z-count", type=_at_least(1), default="20")
 
-    bands = subs.add_parser("bands", help="trivial-phase symbol eigenphases")
-    _add_common(bands)
-    bands.add_argument("--nx", type=int, default=64)
-    bands.add_argument("--ny", type=int, default=64)
+    bands = command("bands", cmd_bands, "trivial-phase symbol eigenphases")
+    _add_common(bands, root_half, one=("r",))
+    bands.add_argument("--nx", type=_at_least(1), default="64")
+    bands.add_argument("--ny", type=_at_least(1), default="64")
     bands.add_argument("--table-out", help="full (x, y, theta) table CSV path")
 
-    decay = subs.add_parser("decay", help="eigenvector decay fits")
-    _add_common(decay)
-    decay.add_argument("--max-fits", type=int, default=64, help="subsample this many eigenvectors")
+    decay = command("decay", cmd_decay, "eigenvector decay fits")
+    _add_common(decay, "0.95", one=("r", "M"), seed_max=_SEED_MAX)
+    decay.add_argument(
+        "--max-fits", type=_at_least(1), default="64", help="subsample this many eigenvectors"
+    )
 
-    verify = subs.add_parser("verify", help="exact-identity suite; exit 1 on violation")
+    verify = command("verify", cmd_verify, "exact-identity suite; exit 1 on violation")
     verify.add_argument("--quick", action="store_true", help="reduced draw counts, < 10 s")
 
-    dump = subs.add_parser("dump", help="export operator triplets or phase triples")
-    _add_common(dump)
+    dump = command("dump", cmd_dump, "export operator triplets or phase triples")
+    _add_common(dump, root_half, one=("r", "M", "seeds"), formats=("csv",), seed_max=_SEED_MAX)
     dump.add_argument("--what", choices=["operator", "phases"], default="operator")
 
     return parser
@@ -604,34 +622,8 @@ def main(argv=None) -> int:
     if argv and not argv[0].startswith("-"):
         argv = [argv[0]] + _apply_config_file(parser, argv[1:])
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None:
-        args.workers = _default_workers(parser) if hasattr(args, "workers") else 1
-    # an empty list would run no cell and pass, fail inside the run, or (--r)
-    # silently run the default
-    for name in ("seeds", "M", "z", "r"):
-        if getattr(args, name, None) == []:
-            parser.error(f"--{name} must be non-empty")
-    for name, least in _FLAG_MINIMUMS.items():
-        values = getattr(args, name, least)
-        if min(values if isinstance(values, list) else [values], default=least) < least:
-            parser.error(f"--{name.replace('_', '-')} must be >= {least}")
-    # comparisons with nan are false, so these also reject non-finite values
-    if not all(0 < mod < math.inf and math.isfinite(arg) for mod, arg in getattr(args, "z", [])):
-        parser.error("--z moduli must be finite and > 0, angles finite")
-    if not 0 < getattr(args, "moment_tol", 1.0) < math.inf:
-        parser.error("--moment-tol must be finite and > 0")
-    handlers = {
-        "lyapunov": cmd_lyapunov,
-        "xi-scaling": cmd_xi_scaling,
-        "dos": cmd_dos,
-        "det-check": cmd_det_check,
-        "bands": cmd_bands,
-        "decay": cmd_decay,
-        "verify": cmd_verify,
-        "dump": cmd_dump,
-    }
     try:
-        return handlers[args.command](args, parser)
+        return args.run(args)
     except DeskScaleError as exc:
         parser.error(str(exc))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams
-from .transfer import _apply_layer, _split_slots, layer_matrices
+from .transfer import _apply_layer, _check_z, _split_slots, layer_matrices
 
 __all__ = [
     "CocycleRunConfig",
@@ -63,8 +63,7 @@ class CocycleRunConfig:
 
     def __post_init__(self):
         self.params.require_transport()
-        if complex(self.z) == 0:
-            raise ValueError("z must be nonzero")
+        _check_z(self.z)
         if self.M < 1:
             raise ValueError("need M >= 1")
         if self.n_steps < BATCH_COUNT:
@@ -76,7 +75,10 @@ class CocycleRunConfig:
 
     @property
     def effective_reorth_period(self) -> int:
-        period = math.floor(math.log(_COND_CAP) / math.log(_step_condition(self.z, self.params)))
+        kappa = _step_condition(self.z, self.params)
+        # a bound that overflowed (to inf, or to nan at |z| = 1e-308 or 1.7e308) allows
+        # one step per QR
+        period = math.floor(math.log(_COND_CAP) / math.log(kappa)) if kappa < math.inf else 1
         return min(max(1, period), self.n_steps // BATCH_COUNT)
 
 
@@ -261,9 +263,7 @@ def thouless_rhs(z: complex, params: ModelParams) -> float:
     unit circle and leaves log(1/rt)/2 there.
     """
     params.require_transport()
-    az = abs(complex(z))
-    if az == 0.0:
-        raise ValueError("z must be nonzero")
+    az = abs(_check_z(z))
     return 2.0 * math.log(max(1.0, az)) + 0.5 * math.log(1.0 / params.rt) - math.log(az)
 
 

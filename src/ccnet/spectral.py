@@ -23,7 +23,7 @@ from .model import (
     build_cylinder_operator,
     sample_phase_field,
 )
-from .transfer import _ring_pairs, propagate
+from .transfer import _check_z, _ring_pairs, propagate
 
 __all__ = [
     "SpectrumResult",
@@ -526,9 +526,7 @@ class ParityOperators:
 
 
 def build_parity_operators(z: complex, M: int) -> ParityOperators:
-    z = complex(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
+    z = _check_z(z)
     s = 1.0 / math.sqrt(2.0)
     w = _ring_pairs(-s, z * s, s / z, s, M, shifted=True)
     v = _ring_pairs(z * s, s, -s, s / z, M, shifted=False)
@@ -545,7 +543,6 @@ class DetIdentityCheck:
     rel_error: float | None = None
     log_lhs: float | None = None
     log_rhs: float | None = None
-    min_eig_distance: float = math.inf
 
 
 def determinant_identity_residual(
@@ -569,24 +566,21 @@ def determinant_identity_residual(
     where both sides are explicit).  Points within 1e-12 of an eigenvalue are
     reported as degenerate and skipped: there the identity reads 0 = 0.
     """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
+    z = _check_z(z)
     params.require_transport()
     if spectrum is None:
         spectrum = eigendecompose(
             build_cylinder_operator(params, phases, L, M), want_vectors=False
         )
     dist = np.abs(z - spectrum.eigenvalues)
-    min_dist = float(dist.min())
-    if min_dist < 1e-12:
-        return DetIdentityCheck(status="degenerate", z=z, min_eig_distance=min_dist)
+    if dist.min() < 1e-12:
+        return DetIdentityCheck(status="degenerate", z=z)
     prop = propagate(z, phases, L, params)
     ops = build_parity_operators(z, M)
     restricted = (ops.v_inv @ prop.matrix @ ops.w)[0::2][:, 0::2]
     sign, logdet = np.linalg.slogdet(restricted)
     if sign == 0.0:
-        return DetIdentityCheck(status="degenerate", z=z, min_eig_distance=min_dist)
+        return DetIdentityCheck(status="degenerate", z=z)
     log_lhs = (4 * L + 1) * M * math.log(abs(z)) + logdet
     log_rhs = (
         -M * math.log(2.0)
@@ -600,7 +594,6 @@ def determinant_identity_residual(
         rel_error=rel,
         log_lhs=log_lhs,
         log_rhs=log_rhs,
-        min_eig_distance=min_dist,
     )
 
 
@@ -659,8 +652,6 @@ class DecayFit:
 
     status: str  # "ok" | "not localized" | "compact support" | "window too short"
     eigenphase: float
-    column_norms: np.ndarray = field(repr=False)
-    peak_column: int = 0
     rate: float | None = None
     r_squared: float | None = None
 
@@ -688,15 +679,11 @@ def eigenvector_decay_fit(result: SpectrumResult, index: int) -> DecayFit:
     peak = int(np.argmax(norms))
     above = norms > _DECAY_FLOOR * norms[peak]
     if np.count_nonzero(above) <= 2:
-        return DecayFit(
-            status="compact support", eigenphase=phase, column_norms=norms, peak_column=peak
-        )
+        return DecayFit(status="compact support", eigenphase=phase)
     dist = np.abs(np.arange(4 * L + 1) - peak)
     mask = (dist >= max(2, L // 4)) & above
     if np.count_nonzero(mask) < 4:
-        return DecayFit(
-            status="window too short", eigenphase=phase, column_norms=norms, peak_column=peak
-        )
+        return DecayFit(status="window too short", eigenphase=phase)
     xs = dist[mask].astype(float)
     ys = np.log(norms[mask])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -708,16 +695,12 @@ def eigenvector_decay_fit(result: SpectrumResult, index: int) -> DecayFit:
         return DecayFit(
             status="not localized",
             eigenphase=phase,
-            column_norms=norms,
-            peak_column=peak,
             rate=None,
             r_squared=r2,
         )
     return DecayFit(
         status="ok",
         eigenphase=phase,
-        column_norms=norms,
-        peak_column=peak,
         rate=float(-slope),
         r_squared=r2,
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, PhaseField, build_cylinder_operator
+from .model import _UNIT_TOL, ModelParams, PhaseField, build_cylinder_operator
 
 __all__ = [
     "LayerPhases",
@@ -55,7 +55,7 @@ def _check_phases(q, n: int) -> np.ndarray:
     q = np.asarray(q, dtype=complex)
     if q.shape != (n,):
         raise ValueError(f"expected {n} phases, got shape {q.shape}")
-    if np.max(np.abs(np.abs(q) - 1.0)) > 1e-9:
+    if np.max(np.abs(np.abs(q) - 1.0)) > _UNIT_TOL:
         raise ValueError("phases must be unit modulus")
     return q
 

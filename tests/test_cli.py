@@ -1,5 +1,8 @@
+import contextlib
 import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccnet
 from ccnet import __version__, cli, invariants, spectral
 from ccnet.cli import main
+from ccnet.lyapunov import BATCH_COUNT
 from ccnet.records import CSV_HEADER, ResultRecord, canonical_row, emit, read_records
 
 
@@ -207,8 +213,8 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
-    flag = argv[1]
-    assert f"takes one {flag} value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[1]}" in err and "expected one value" in err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -245,6 +251,14 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
         (["dos", "--seeds", "-1"], "--seeds"),
         (["decay", "--seeds", "-1"], "--seeds"),
         (["dump", "--seeds", "-1"], "--seeds"),
+        # the site-phase hash reads a seed as a signed 64-bit integer; these
+        # ended in an OverflowError traceback
+        (["dos", "--M", "1", "--L", "1", "--seeds", str(2**63), "--moments", "1"], "--seeds"),
+        (["det-check", "--seeds", f"1,{2**63}"], "--seeds"),
+        (["decay", "--seed", str(2**64)], "--seeds"),
+        (["dump", "--seeds", str(2**63)], "--seeds"),
+        # the cocycle steps with 1/z, which is inf here (was a ValueError traceback)
+        (["lyapunov", "--M", "1", "--steps", "20", "--r", "0.5", "--z", "1e-320,0"], "--z"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
@@ -254,8 +268,159 @@ def test_out_of_range_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path / "out.csv")])
     assert exc.value.code == 2
-    assert f"error: {flag} " in capsys.readouterr().err
+    assert f"error: argument {flag}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _accepts(convert, ok, shape, text):
+    """Whether a flag of this domain and shape takes ``text`` (the test's oracle)."""
+    items = [text] if shape == "scalar" else [item for item in text.split(",") if item.strip()]
+    try:
+        values = [convert(item) for item in items]
+    except ValueError:
+        return False
+    return bool(values) and all(map(ok, values)) and (shape != "one" or len(values) == 1)
+
+
+def _z_accepts(text):
+    chunks = [chunk for chunk in text.split(";") if chunk.strip()]
+    try:
+        pairs = [[float(part) for part in chunk.split(",")] for chunk in chunks]
+    except ValueError:
+        return False
+    return bool(pairs) and all(
+        len(pair) == 2
+        and 0 < pair[0] < math.inf
+        and 1 / pair[0] < math.inf
+        and math.isfinite(pair[1])
+        for pair in pairs
+    )
+
+
+def _at_least(least):
+    return lambda value: value >= least
+
+
+def _flag_domains():
+    """(command, flag, convert, in-domain test, shape, least) for each numeric flag, as documented."""
+    one = {"dos": "rM", "det-check": "rM", "decay": "rM", "bands": "r", "dump": "rMs"}
+    extra = {
+        "lyapunov": [("--steps", BATCH_COUNT)],
+        "xi-scaling": [("--steps", BATCH_COUNT)],
+        "dos": [("--moments", 1), ("--bins", 1)],
+        "det-check": [("--z-count", 1)],
+        "bands": [("--nx", 1), ("--ny", 1)],
+        "decay": [("--max-fits", 1)],
+        "dump": [],
+    }
+    rows = []
+    for command, flags in extra.items():
+        shape = {key: "one" if key in one.get(command, "") else "list" for key in "rMs"}
+        if command in ("dos", "det-check", "decay", "dump"):  # seeds feed the site-phase hash
+            seed_ok = lambda seed: 0 <= seed <= 2**63 - 1  # noqa: E731
+        else:
+            seed_ok = _at_least(0)
+        rows += [
+            (command, "--workers", int, _at_least(1), "scalar", 1),
+            (command, "--L", int, _at_least(0), "scalar", 0),
+            (command, "--r", float, lambda r: 0 < r < 1, shape["r"], 0),
+            (command, "--M", int, _at_least(1), shape["M"], 1),
+            (command, "--seeds", int, seed_ok, shape["s"], 0),
+        ]
+        rows += [(command, flag, int, _at_least(least), "scalar", least) for flag, least in flags]
+    rows.append(("dos", "--moment-tol", float, lambda tol: 0 < tol < math.inf, "scalar", 0))
+    return rows
+
+
+_FLAG_DOMAINS = _flag_domains()
+
+
+def _edge_texts(least):
+    edges = [str(least), str(least - 1), "0", "-1", str(2**63), str(2**63 - 1), "nan", "inf",
+             "-inf", "5e-324", "0.5", "1", "", ",", f"{least},{least}", f"{least + 1},{least - 1}"]
+    value = st.one_of(
+        st.sampled_from(edges), st.integers(least - 3, least + 3).map(str), st.floats().map(repr)
+    )
+    return st.one_of(value, st.lists(value, min_size=2, max_size=3).map(",".join))
+
+
+@pytest.fixture(scope="module")
+def parser():
+    # --workers defaults to CCNET_WORKERS as the parser is built
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("CCNET_WORKERS", raising=False)
+        return cli.build_parser()
+
+
+def _parse_exit(parser, argv):
+    """0 when ``parser`` takes ``argv``, else (exit code, stderr)."""
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    return 0
+
+
+@pytest.mark.parametrize(
+    "command, flag, convert, ok, shape, least",
+    _FLAG_DOMAINS,
+    ids=[f"{row[0]} {row[1]}" for row in _FLAG_DOMAINS],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_flag_types_refuse_exactly_outside_the_domain(
+    parser, command, flag, convert, ok, shape, least, data
+):
+    # parsing is the only validation: exit 2, naming the flag, exactly outside the domain
+    text = data.draw(_edge_texts(least), label="text")
+    got = _parse_exit(parser, [command, f"{flag}={text}"])
+    if _accepts(convert, ok, shape, text):
+        assert got == 0
+    else:
+        assert got[0] == 2 and f"error: argument {flag}" in got[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.one_of(
+        st.sampled_from(["", ";", "1", "1,0,0", "0,0", "nan,0", "1,inf", "1e-320,0", "1e-308,0",
+                         "5e-324,1", "1.7e308,0", "1,0;0,0", "1,0;", "x,0"]),
+        st.lists(
+            st.tuples(st.floats(), st.floats()).map(lambda p: f"{p[0]!r},{p[1]!r}"),
+            min_size=1, max_size=3,
+        ).map(";".join),
+    )
+)
+def test_z_type_refuses_exactly_outside_the_domain(parser, text):
+    got = _parse_exit(parser, ["lyapunov", f"--z={text}"])
+    if _z_accepts(text):
+        assert got == 0
+    else:
+        assert got[0] == 2 and "error: argument --z" in got[1]
+
+
+@pytest.mark.parametrize("z", ["1e-200,0", "1e200,0", "1.7e308,0"])
+def test_lyapunov_nan_exponents_fail_the_mean_law(tmp_path, z):
+    # the cocycle overflows in one step; a nan mean used to pass (exit 0, status ok),
+    # and at 1.7e308 the period derivation raised a ValueError
+    out = tmp_path / "ly.csv"
+    argv = ["lyapunov", "--M", "2", "--steps", "40", "--r", "0.6", "--z", z, "--out", str(out)]
+    assert main(argv) == 1
+    rows = read_records(out, "csv")
+    assert all("mean-law" in row["status"] for row in rows)
+
+
+def test_det_check_nan_residual_fails(tmp_path, monkeypatch):
+    # max(worst, nan) kept the old worst, so nan-only misses exited 0
+    def nan_residual(z, *args, **kwargs):
+        return spectral.DetIdentityCheck(status="ok", z=z, rel_error=math.nan)
+
+    monkeypatch.setattr(cli, "determinant_identity_residual", nan_residual)
+    out = tmp_path / "det.csv"
+    argv = ["det-check", "--M", "1", "--L", "1", "--z-count", "2", "--out", str(out)]
+    assert main(argv) == 1
+    assert [row["status"] for row in read_records(out, "csv")] == ["FAIL", "FAIL"]
 
 
 def test_det_check_tolerance_is_not_a_flag(tmp_path, capsys):

@@ -371,6 +371,9 @@ def test_derived_period_values():
     # clamped to n_steps // BATCH_COUNT, and to at least 1
     assert _config(0.6, 4, 60, 1).effective_reorth_period == 3
     assert _config(0.999, 1, 10_000, 1, z=20.0).effective_reorth_period == 1
+    # a bound that overflows to nan (|z| = 1.7e308) also gives one step per QR
+    assert math.isnan(_step_condition(1.7e308, lopsided))
+    assert _config(0.6, 1, 40, 1, z=1.7e308).effective_reorth_period == 1
 
 
 @pytest.mark.parametrize(
