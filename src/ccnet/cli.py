@@ -313,7 +313,16 @@ def cmd_dos(args) -> int:
         )
     )
     _record(
-        args, rows, started, r=[params.r], M=[M], L=args.L, seeds=args.seeds, moments=args.moments
+        args,
+        rows,
+        started,
+        r=[params.r],
+        M=[M],
+        L=args.L,
+        seeds=args.seeds,
+        moments=args.moments,
+        bins=args.bins,
+        moment_tol=args.moment_tol,
     )
     if args.hist_out:
         with open(args.hist_out, "w") as fh:
@@ -423,7 +432,9 @@ def cmd_decay(args) -> int:
                     status=fit.status,
                 )
             )
-    _record(args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds)
+    _record(
+        args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds, max_fits=args.max_fits
+    )
     return 0
 
 

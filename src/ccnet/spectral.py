@@ -43,15 +43,7 @@ __all__ = [
     "ks_statistic",
 ]
 
-DESK_SCALE_CAP = 4000  # largest dense (pencil) eigenproblem attempted
-
-# Weight of the skew part in the Hermitian pencil.  tan^2 = 2 is not one of
-# 0, 1/3, 1, 3, so atan(sqrt 2)/pi is irrational (Niven) and no pair of
-# phases on a lattice of rational multiples of pi lands on one pencil level.
-PENCIL_SKEW_WEIGHT = math.sqrt(2.0)
-# zheevr mixes the vectors of two levels g apart by about eps/g, which keeps
-# residuals near 1e-11 outside the clusters; closer levels are rotated together
-_CLUSTER_GAP = 1e-4
+DESK_SCALE_CAP = 4000  # largest dense (Schur) eigenproblem attempted
 _CHUNK = 64  # columns per sparse U @ V product in the Rayleigh/gate pass
 _EIGEN_GATE = 1e-8  # residual and unit-modulus gates
 
@@ -84,7 +76,7 @@ class EigensolverError(RuntimeError):
 
 
 class DeskScaleError(ValueError):
-    """The dense pencil was asked for an operator larger than DESK_SCALE_CAP."""
+    """The dense Schur solve was asked for an operator larger than DESK_SCALE_CAP."""
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,11 @@ class SpectrumResult:
     vector_indices: np.ndarray | None = None  # (k,) indices into eigenphases
     L: int = 0
     M: int = 1
-    # pencil: worst ||U v - lambda v|| over the eigenpairs; banded: worst
+    # schur: worst ||U v - lambda v|| over the eigenpairs; banded: worst
     # mismatch between a kept phase and the nearest level of its other centre,
     # or worst ||U v - lambda v|| of the requested vectors if that is larger
     max_residual: float = 0.0
-    solver: str = "pencil"  # "banded" | "pencil"
+    solver: str = "schur"  # "banded" | "schur"
 
     @property
     def dim(self) -> int:
@@ -158,25 +150,16 @@ def eigendecompose(
     Any failure of the banded path (uncertified phases, as from the mirror
     pairs theta, 2 gamma - theta of the L = 0 ring shift; an unconverged or
     ungated vector) is logged at INFO on the ``ccnet.spectral`` logger, and
-    the pencil below answers the whole request.
-
-    Pencil (every fallback, ``solver="pencil"``): U^D is normal, so its
-    Hermitian and skew parts commute and
-
-        H = (U + U^*)/2 + a (U - U^*)/(2i),    a = PENCIL_SKEW_WEIGHT,
-
-    has the eigenvectors of U with eigenvalues cos(theta) + a sin(theta).  H is
-    densified once and diagonalized by LAPACK zheevr, so the pencil alone is
-    capped at N <= DESK_SCALE_CAP and raises DeskScaleError beyond.  Two
-    phases share one H-level when they are equal or mirror each other,
-    theta + theta' = 2 atan(a) (mod 2pi), so every cluster of H-levels
-    closer than 1e-4 is rotated by the complex Schur basis of its projected
-    block V_c^* U V_c, which is diagonal because the block is normal.  Each
-    eigenvalue is the Rayleigh quotient v^* U v.  Every pair is gated on its
-    residual ||U v - lambda v|| and on | |lambda| - 1 |, both at 1e-8, and
-    EigensolverError is raised beyond; the worst residual is returned as
-    ``max_residual``.  The pencil is the test oracle of the banded path, and
-    the dense general eigensolver ``np.linalg.eig`` the oracle of the pencil.
+    one dense complex Schur factorization answers the whole request
+    (``solver="schur"``).  U^D is normal, so its Schur form is diagonal and
+    the unitary Schur basis holds its eigenvectors, repeated phases included.
+    The dense solve is capped at N <= DESK_SCALE_CAP and raises
+    DeskScaleError beyond.  Each eigenvalue is the Rayleigh quotient v^* U v;
+    every pair is gated on its residual ||U v - lambda v|| and on
+    | |lambda| - 1 |, both at 1e-8, and EigensolverError is raised beyond; the
+    worst residual is returned as ``max_residual``.  The Schur path is the
+    test oracle of the banded path, and ``np.linalg.eig`` that of the Schur
+    path.
     """
     n = op.dim
     indices = None
@@ -191,8 +174,8 @@ def eigendecompose(
             vectors, worst = _inverse_iteration(op.matrix, phases, indices)
             mismatch = max(mismatch, worst)
     except _NotCertified as exc:
-        _log.info("banded path not certified at N = %d (%s); using the pencil", n, exc)
-        return _pencil_decompose(op, False if indices is None else indices)
+        _log.info("banded path not certified at N = %d (%s); using the Schur form", n, exc)
+        return _schur_decompose(op, indices)
     return SpectrumResult(
         eigenphases=phases,
         eigenvalues=np.exp(1j * phases),
@@ -334,29 +317,25 @@ def _nearest_gap(sorted_levels: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(above - values), np.abs(values - below))
 
 
-def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
-    """The Hermitian-pencil solve of ``eigendecompose``, gated on residual and modulus.
+def _schur_decompose(op: FiniteOperator, indices: np.ndarray | None) -> SpectrumResult:
+    """The dense Schur solve of ``eigendecompose``, gated on residual and modulus.
 
-    ``want_vectors`` is False or an index array into the sorted phases.
+    ``indices`` is None (phases only) or an index array into the sorted phases.
     """
     import scipy.linalg  # deferred: importing it costs every CLI start-up
 
     n = op.dim
     if n > DESK_SCALE_CAP:
         raise DeskScaleError(
-            f"operator dimension {n} exceeds desk-scale cap {DESK_SCALE_CAP} of the dense pencil"
+            f"operator dimension {n} exceeds desk-scale cap {DESK_SCALE_CAP} of the dense solve"
         )
     u = op.matrix
-    half = 0.5 - 0.5j * PENCIL_SKEW_WEIGHT
-    pencil = (half * u + np.conj(half) * u.conj().T).toarray(order="F")
     try:
-        levels, vecs = scipy.linalg.eigh(
-            pencil, driver="evr", overwrite_a=True, check_finite=False
+        _, vecs = scipy.linalg.schur(
+            u.toarray(order="F"), output="complex", overwrite_a=True, check_finite=False
         )
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    del pencil  # overwritten by zheevr
-    _rotate_clusters(u, levels, vecs)
     evals = np.empty(n, dtype=complex)
     max_residual = 0.0
     for start in range(0, n, _CHUNK):
@@ -380,10 +359,7 @@ def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
         evals[start : start + _CHUNK] = quotients
     phases = np.mod(np.angle(evals), 2.0 * np.pi)
     order = np.argsort(phases)
-    indices, sorted_vecs = None, None
-    if want_vectors is not False:
-        indices = want_vectors
-        sorted_vecs = vecs[:, order[indices]]
+    sorted_vecs = None if indices is None else vecs[:, order[indices]]
     return SpectrumResult(
         eigenphases=phases[order],
         eigenvalues=evals[order],
@@ -392,24 +368,8 @@ def _pencil_decompose(op: FiniteOperator, want_vectors) -> SpectrumResult:
         L=op.L,
         M=op.M,
         max_residual=max_residual,
-        solver="pencil",
+        solver="schur",
     )
-
-
-def _rotate_clusters(u, levels: np.ndarray, vecs: np.ndarray) -> None:
-    """Turn each run of pencil levels closer than the gap into eigenvectors of U, in place."""
-    import scipy.linalg
-
-    close = np.flatnonzero(np.diff(levels) < _CLUSTER_GAP)
-    if close.size == 0:
-        return
-    breaks = np.flatnonzero(np.diff(close) > 1)
-    starts = close[np.r_[0, breaks + 1]]
-    stops = close[np.r_[breaks, close.size - 1]] + 2
-    for start, stop in zip(starts, stops):
-        block = vecs[:, start:stop]
-        _, basis = scipy.linalg.schur(block.conj().T @ (u @ block), output="complex")
-        vecs[:, start:stop] = block @ basis
 
 
 def ks_statistic(phases: np.ndarray) -> float:

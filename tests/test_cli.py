@@ -565,7 +565,7 @@ def test_decay_command(tmp_path):
 
 def test_decay_runs_past_the_pencil_cap(tmp_path):
     # N = 2M (4L + 1) = 4804 > DESK_SCALE_CAP: phases and the fitted vectors
-    # come from band solves, so the cap of the dense pencil does not apply
+    # come from band solves, so the cap of the dense Schur solve does not apply
     out = tmp_path / "decay.csv"
     argv = ["decay", "--r", "0.95", "--M", "2", "--L", "300", "--seeds", "1", "--out", str(out)]
     assert main(argv) == 0
@@ -574,13 +574,48 @@ def test_decay_runs_past_the_pencil_cap(tmp_path):
 
 
 def test_pencil_past_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    # the L = 0 ring shift has mirror pairs, so its phases need the pencil
+    # the L = 0 ring shift has mirror pairs, so its phases need the Schur form
     monkeypatch.setattr(spectral, "DESK_SCALE_CAP", 3)
     with pytest.raises(SystemExit) as exc:
         main(["dos", "--M", "2", "--L", "0", "--out", str(tmp_path / "dos.csv")])
     assert exc.value.code == 2
     assert "exceeds desk-scale cap 3" in capsys.readouterr().err
     assert not (tmp_path / "dos.csv").exists()
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_ring_shift_runs_end_to_end_through_the_fallback(tmp_path, caplog, M):
+    # L = 0 is the ring shift: from M = 2 on its mirror pairs are not
+    # certified on the banded path, and the Schur form answers every solve
+    det, decay = tmp_path / "det.csv", tmp_path / "decay.csv"
+    with caplog.at_level("INFO", logger="ccnet.spectral"):
+        assert main(["det-check", "--M", str(M), "--L", "0", "--out", str(det)]) == 0
+        argv = ["decay", "--M", str(M), "--L", "0", "--seeds", "1,2", "--out", str(decay)]
+        assert main(argv) == 0
+    assert {row["status"] for row in read_records(det, "csv")} == {"ok"}
+    rows = read_records(decay, "csv")
+    assert len(rows) == 2 * 2 * M
+    assert {row["status"] for row in rows} == {"compact support"}
+    # one solve per seed: det-check's default seed and decay's two
+    fallbacks = [rec for rec in caplog.records if "using the Schur form" in rec.message]
+    assert len(fallbacks) == (0 if M == 1 else 3)
+
+
+def test_dos_and_decay_echo_the_flags_that_shape_their_rows(tmp_path):
+    dos = tmp_path / "dos.json"
+    argv = ["dos", "--M", "1", "--L", "1", "--moments", "2", "--bins", "8"]
+    main([*argv, "--moment-tol", "0.5", "--format", "json", "--out", str(dos)])
+    config = read_records(dos, "json")[0].config
+    assert (config["moments"], config["bins"], config["moment_tol"]) == (2, 8, 0.5)
+    records = {}
+    for fits in (8, 64):
+        out = tmp_path / f"decay{fits}.json"
+        argv = ["decay", "--M", "1", "--L", "3", "--max-fits", str(fits), "--seeds", "1"]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        records[fits] = read_records(out, "json")[0]
+        assert records[fits].config["max_fits"] == fits
+    # N = 26: every third vector at --max-fits 8, all 26 at --max-fits 64
+    assert [len(records[fits].rows) for fits in (8, 64)] == [9, 26]
 
 
 def test_xi_scaling_command(tmp_path):

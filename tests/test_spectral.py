@@ -25,9 +25,8 @@ from ccnet import (
 from ccnet import spectral
 from ccnet.spectral import (
     DESK_SCALE_CAP,
-    PENCIL_SKEW_WEIGHT,
     EigensolverError,
-    _pencil_decompose,
+    _schur_decompose,
 )
 
 
@@ -65,12 +64,12 @@ def test_eigendecompose_residuals_and_modulus(lopsided):
 
 
 def test_eigendecompose_cap(lopsided):
-    # (4L + 1) 2M = 4020 > DESK_SCALE_CAP; the cap binds the dense pencil
-    # alone, and is checked before it densifies anything
+    # (4L + 1) 2M = 4020 > DESK_SCALE_CAP; the cap binds the dense Schur
+    # solve alone, and is checked before it densifies anything
     op = build_cylinder_operator(lopsided, sample_phase_field(1, 50, 10), 50, 10)
     assert op.dim == 4020 > DESK_SCALE_CAP
     with pytest.raises(ValueError, match="desk-scale cap"):
-        _pencil_decompose(op, want_vectors=False)
+        _schur_decompose(op, None)
     spec = eigendecompose(op, want_vectors=False)
     assert spec.solver == "banded" and spec.dim == op.dim
     assert np.all(np.diff(spec.eigenphases) >= 0.0)
@@ -96,7 +95,7 @@ def test_eigendecompose_matches_eig_oracle(r, M, L):
     op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(3, L, M), L, M)
     dense = op.matrix.toarray()
     oracle = np.linalg.eig(dense)[0]
-    spec = _pencil_decompose(op, np.arange(op.dim))
+    spec = _schur_decompose(op, np.arange(op.dim))
     got = _phases_from_cut(spec.eigenvalues, oracle)
     assert np.max(np.abs(got - _phases_from_cut(oracle, oracle))) <= 1e-12
     vecs = spec.eigenvectors
@@ -113,7 +112,7 @@ def test_eigendecompose_matches_eig_oracle(r, M, L):
     # pairs +-theta; at M = 1 the pair {0, pi} has no lever at centre 0
     # and is taken once, from centre 1
     mirrored = L == 0 and M > 1
-    assert values_only.solver == ("pencil" if mirrored else "banded")
+    assert values_only.solver == ("schur" if mirrored else "banded")
 
 
 def _normal_operator(thetas, seed, matrix_scale=1.0):
@@ -138,11 +137,14 @@ def _assert_exact_spectrum(op, thetas):
 
 
 def test_eigendecompose_separates_mirror_pairs():
-    # theta and 2 atan(a) - theta share one pencil level exactly
+    # theta and -theta share one level of the centre-0 band matrix, so the
+    # banded path cannot certify them and the Schur form answers
     rng = np.random.default_rng(41)
     half = 2 * np.pi * rng.random(9)
-    thetas = np.r_[half, 2 * math.atan(PENCIL_SKEW_WEIGHT) - half]
-    _assert_exact_spectrum(_normal_operator(thetas, 1), thetas)
+    thetas = np.r_[half, -half]
+    op = _normal_operator(thetas, 1)
+    assert eigendecompose(op).solver == "schur"
+    _assert_exact_spectrum(op, thetas)
 
 
 def test_eigendecompose_repeated_eigenvalue():
@@ -180,27 +182,33 @@ def test_eigendecompose_gates_reject_non_unitary(vectors):
 def test_banded_eigenphases_match_pencil(r, M, L, seed):
     op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
     banded = eigendecompose(op, want_vectors=False)
-    pencil = _pencil_decompose(op, want_vectors=False)
+    schur = _schur_decompose(op, None)
     assert banded.solver == "banded" and banded.dim == op.dim
-    got = _phases_from_cut(banded.eigenvalues, pencil.eigenvalues)
-    want = _phases_from_cut(pencil.eigenvalues, pencil.eigenvalues)
+    got = _phases_from_cut(banded.eigenvalues, schur.eigenvalues)
+    want = _phases_from_cut(schur.eigenvalues, schur.eigenvalues)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 @pytest.mark.parametrize(
-    "r, M, L",
+    "r, M, L, fits",
     [
-        (0.6, 3, 25),  # the dos-eigvals operator
-        (0.6, 2, 24),  # the wide det-window operator
+        (0.6, 3, 25, 0),  # the dos-eigvals operator
+        (0.6, 2, 24, 0),  # the wide det-window operator
+        (0.95, 2, 50, 64),  # the decay-eigvecs operator, with decay's 67 vectors
     ],
+    ids=["0.6-3-25", "0.6-2-24", "0.95-2-50"],
 )
-def test_benchmark_operators_take_banded_path(r, M, L, caplog):
+def test_benchmark_operators_take_banded_path(r, M, L, fits, caplog):
     caplog.set_level(logging.INFO, logger="ccnet.spectral")
     for seed in range(1, 5):
         op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
-        spec = eigendecompose(op, want_vectors=False)
+        # the indices cmd_decay fits at --max-fits 64
+        indices = range(0, op.dim, op.dim // fits) if fits else False
+        spec = eigendecompose(op, want_vectors=indices)
         assert spec.solver == "banded"
         assert spec.max_residual <= 1e-12
+        if fits:
+            assert spec.eigenvectors.shape == (op.dim, 67)
     assert not caplog.records
 
 
@@ -209,7 +217,7 @@ def test_fallback_to_pencil_is_logged(caplog):
     op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 2), 0, 2)
     with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
         spec = eigendecompose(op, want_vectors=False)
-    assert spec.solver == "pencil"
+    assert spec.solver == "schur"
     assert np.allclose(spec.eigenphases, [0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-10)
     (record,) = caplog.records
     assert record.levelno == logging.INFO and "6 phases confirmed, expected 4" in record.message
@@ -232,11 +240,11 @@ def test_over_count_is_retried_at_the_tight_match(seed, confirmed, monkeypatch, 
         banded = eigendecompose(op, want_vectors=False)
     assert banded.solver == "banded" and not caplog.records
     assert banded.max_residual <= 1e-13
-    pencil = _pencil_decompose(op, want_vectors=False)
-    got = _phases_from_cut(banded.eigenvalues, pencil.eigenvalues)
-    want = _phases_from_cut(pencil.eigenvalues, pencil.eigenvalues)
+    schur = _schur_decompose(op, None)
+    got = _phases_from_cut(banded.eigenvalues, schur.eigenvalues)
+    want = _phases_from_cut(schur.eigenvalues, schur.eigenvalues)
     assert np.max(np.abs(got - want)) <= 1e-12
-    # without the retry these operators fall back to the pencil
+    # without the retry these operators fall back to the Schur form
     monkeypatch.setattr(spectral, "_LEVEL_MATCH_RETRY", spectral._LEVEL_MATCH)
     with pytest.raises(spectral._NotCertified, match=f"{confirmed} phases confirmed"):
         spectral._banded_eigenphases(op.matrix)
@@ -260,21 +268,19 @@ def _decay_statuses(spec, indices):
     seed=st.integers(0, 2**32 - 1),
     picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12),
 )
-# phase 158 has a neighbour 1.48e-5 away, inside the pencil's 1e-4 cluster
-# gap: the pencil column is 4.7e-10 from a dense refined inverse iteration,
-# the banded one 4.7e-13
+# phase 158 has a neighbour 1.48e-5 away (see the close-pair test below)
 @example(r=math.sqrt(0.5), M=2, L=22, seed=7636235, picks=[0.4453125])
 def test_banded_vectors_match_pencil(r, M, L, seed, picks):
     op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
     indices = [int(p * op.dim) for p in picks]
     banded = eigendecompose(op, want_vectors=indices)
-    pencil = _pencil_decompose(op, np.asarray(indices))
+    schur = _schur_decompose(op, np.asarray(indices))
     assert banded.solver == "banded" and banded.eigenvectors.shape == (op.dim, len(indices))
     assert list(banded.vector_indices) == indices
     dense = op.matrix.toarray()
-    got, want = banded.eigenvectors, pencil.eigenvectors
+    got, want = banded.eigenvectors, schur.eigenvectors
     res_got = np.linalg.norm(dense @ got - got * banded.eigenvalues[indices], axis=0)
-    res_want = np.linalg.norm(dense @ want - want * pencil.eigenvalues[indices], axis=0)
+    res_want = np.linalg.norm(dense @ want - want * schur.eigenvalues[indices], axis=0)
     assert res_got.max() <= 1e-12 and banded.max_residual <= 1e-12
     # columns agree to 1e-10, or to the Davis-Kahan bound (res + res') / gap
     # on two vectors whose phase sits that close to its neighbours
@@ -283,20 +289,37 @@ def test_banded_vectors_match_pencil(r, M, L, seed, picks):
     gaps[indices, range(len(indices))] = np.inf
     bound = np.maximum(1e-10, (res_got + res_want) / gaps.min(axis=0))
     assert np.all(_aligned_gaps(got, want) <= bound)
-    assert _decay_statuses(banded, indices) == _decay_statuses(pencil, indices)
+    assert _decay_statuses(banded, indices) == _decay_statuses(schur, indices)
+
+
+def test_fallback_vector_of_a_close_pair_matches_banded(monkeypatch):
+    # phase 158 has a neighbour 1.48e-5 away; the banded column is 4.7e-13
+    # and the Schur column 2.1e-11 from a refined dense inverse iteration
+    r, M, L, seed, index = math.sqrt(0.5), 2, 22, 7636235, 158
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
+    banded = eigendecompose(op, want_vectors=[index])
+    assert banded.solver == "banded"
+
+    def refuse(*args):
+        raise spectral._NotCertified("vectors refused")
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", refuse)
+    fallback = eigendecompose(op, want_vectors=[index])
+    assert fallback.solver == "schur"
+    assert _aligned_gaps(fallback.eigenvectors, banded.eigenvectors)[0] <= 1e-10
 
 
 def test_vector_fallback_returns_requested_columns(caplog):
     # the L = 0, M = 3 ring shift has mirror pairs, so the phases are not
-    # certified and the pencil answers the same columns
+    # certified and the Schur form answers the same columns
     op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 3), 0, 3)
     indices = [4, 1, 4]
     with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
         spec = eigendecompose(op, want_vectors=indices)
-    assert spec.solver == "pencil" and len(caplog.records) == 1
+    assert spec.solver == "schur" and len(caplog.records) == 1
     assert list(spec.vector_indices) == indices
     assert spec.eigenvectors.shape == (op.dim, 3)
-    full = _pencil_decompose(op, np.arange(op.dim))
+    full = _schur_decompose(op, np.arange(op.dim))
     assert np.array_equal(spec.eigenvectors, full.eigenvectors[:, indices])
     assert np.array_equal(spec.eigenphases, full.eigenphases)
 
@@ -310,7 +333,7 @@ def test_repeated_phase_vectors_come_from_the_pencil(caplog):
     assert eigendecompose(op, want_vectors=False).solver == "banded"
     with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
         spec = eigendecompose(op, want_vectors=[2, 3])
-    assert spec.solver == "pencil" and "within 1e-13 of another" in caplog.text
+    assert spec.solver == "schur" and "within 1e-13 of another" in caplog.text
     vecs = spec.eigenvectors
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2))) <= 1e-12
 
@@ -328,7 +351,7 @@ def test_iterate_check_catches_early_stop(monkeypatch):
     # neighbour that flips decay statuses while its residual stays ~1e-14
     op = build_cylinder_operator(ModelParams.from_r(0.95), sample_phase_field(1, 50, 2), 50, 2)
     indices = list(range(0, op.dim, op.dim // 64))
-    want = _decay_statuses(_pencil_decompose(op, np.asarray(indices)), indices)
+    want = _decay_statuses(_schur_decompose(op, np.asarray(indices)), indices)
     monkeypatch.setattr(spectral, "_SHIFT", 1e-10)
     with_check = eigendecompose(op, want_vectors=indices)
     assert _decay_statuses(with_check, indices) == want
