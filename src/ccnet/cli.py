@@ -25,6 +25,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -117,8 +118,12 @@ def _z_value(mod: float, arg_over_pi: float) -> complex:
     return mod * np.exp(1j * math.pi * arg_over_pi)
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(path: str) -> list[str]:
+    """The ``key = value`` lines of a flat config file as ``--key=value`` flags.
+
+    Blank lines and ``#`` comments are skipped; ``_`` in a key reads as ``-``.
+    """
+    flags = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             stripped = line.strip()
@@ -127,8 +132,8 @@ def _load_config_file(path: str) -> dict:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = stripped.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
+            flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return flags
 
 
 def _parallel(fn, cells, workers: int):
@@ -232,49 +237,37 @@ def _lyapunov_results(args, zs):
     return [(cell, results[cell]) for cell in cells]
 
 
-def cmd_lyapunov(args) -> int:
-    started = time.perf_counter()
-    results = _lyapunov_results(args, args.z)
+def cmd_lyapunov(args):
     all_rows, any_fail = [], False
-    for cell, result in results:
+    for cell, result in _lyapunov_results(args, args.z):
         rows, failures = _lyapunov_rows(cell, result)
         all_rows.extend(rows)
         any_fail |= bool(failures)
-    _record(
-        args, all_rows, started, r=args.r, M=args.M, z=args.z, seeds=args.seeds, steps=args.steps
-    )
-    return 1 if any_fail else 0
+    return all_rows, 1 if any_fail else 0
 
 
-def cmd_xi_scaling(args) -> int:
+def cmd_xi_scaling(args):
     """The k = M rows of ``lyapunov`` at z = 1, with a status from xi alone.
 
     The config echo adds the crude xi upper bound per (r, M).
     """
-    started = time.perf_counter()
-    results = _lyapunov_results(args, [(1.0, 0.0)])
     view = []
-    for cell, result in results:
+    for cell, result in _lyapunov_results(args, [(1.0, 0.0)]):
         rows, _ = _lyapunov_rows(cell, result)
         xi = localization_length(result)
         status = "ok" if xi.status == "ok" else "xi " + xi.status
         # rows[k] carries exponent k; xi_M sits on row k = M
         view.append(dict(rows[cell[1]], command="xi-scaling", status=status))
     bounds = [[r, M, xi_upper_bound(ModelParams.from_r(r), M)] for r in args.r for M in args.M]
-    _record(
-        args, view, started, r=args.r, M=args.M, seeds=args.seeds, steps=args.steps,
-        xi_upper_bound=bounds,
-    )
-    return 0
+    return view, 0, {"xi_upper_bound": bounds}
 
 
 # ---------------------------------------------------------------------------
 # dos / det-check / bands / decay
 
 
-def cmd_dos(args) -> int:
+def cmd_dos(args):
     params, M = ModelParams.from_r(args.r), args.M
-    started = time.perf_counter()
     hist = dos_moments(params, M, args.L, args.seeds, K=args.moments, bins=args.bins)
     rows = []
     ok = True
@@ -312,29 +305,16 @@ def cmd_dos(args) -> int:
             status="ks ok" if ks_pass else "ks FAIL",
         )
     )
-    _record(
-        args,
-        rows,
-        started,
-        r=[params.r],
-        M=[M],
-        L=args.L,
-        seeds=args.seeds,
-        moments=args.moments,
-        bins=args.bins,
-        moment_tol=args.moment_tol,
-    )
     if args.hist_out:
         with open(args.hist_out, "w") as fh:
             fh.write("bin_lo,bin_hi,count\n")
             for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
                 fh.write(f"{float(lo)!r},{float(hi)!r},{int(count)}\n")
-    return 0 if ok else 1
+    return rows, 0 if ok else 1
 
 
-def cmd_det_check(args) -> int:
+def cmd_det_check(args):
     params, M, L = ModelParams.from_r(args.r), args.M, args.L
-    started = time.perf_counter()
     rows = []
     trial = 0
     for seed in args.seeds:
@@ -366,14 +346,12 @@ def cmd_det_check(args) -> int:
                     else ("ok" if check.rel_error <= _DET_IDENTITY_TOL else "FAIL"),
                 )
             )
-    _record(args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds, z_count=args.z_count)
     # a nan residual is a FAIL row too: take the exit code from the rows
-    return 1 if any(row["status"] == "FAIL" for row in rows) else 0
+    return rows, 1 if any(row["status"] == "FAIL" for row in rows) else 0
 
 
-def cmd_bands(args) -> int:
+def cmd_bands(args):
     params = ModelParams.from_r(args.r)
-    started = time.perf_counter()
     structure = band_grid(params, args.nx, args.ny)
     edge = structure.band_edge()
     expected = math.asin(min(1.0, 2.0 * params.rt))
@@ -396,7 +374,6 @@ def cmd_bands(args) -> int:
             status="band edge (stderr column = |edge - arcsin(2rt)|)",
         ),
     ]
-    _record(args, rows, started, r=[params.r], nx=args.nx, ny=args.ny)
     if args.table_out:
         with open(args.table_out, "w") as fh:
             fh.write("x,y,theta_lower,theta_upper\n")
@@ -404,12 +381,11 @@ def cmd_bands(args) -> int:
                 for j, y in enumerate(structure.ys):
                     lo, hi = structure.eigenphases[i, j]
                     fh.write(f"{float(x)!r},{float(y)!r},{float(lo)!r},{float(hi)!r}\n")
-    return 0 if structure.det_defect <= 1e-12 else 1
+    return rows, 0 if structure.det_defect <= 1e-12 else 1
 
 
-def cmd_decay(args) -> int:
+def cmd_decay(args):
     params, M, L = ModelParams.from_r(args.r), args.M, args.L
-    started = time.perf_counter()
     rows = []
     for seed in args.seeds:
         phases = sample_phase_field(seed, L, M)
@@ -432,10 +408,7 @@ def cmd_decay(args) -> int:
                     status=fit.status,
                 )
             )
-    _record(
-        args, rows, started, r=[params.r], M=[M], L=L, seeds=args.seeds, max_fits=args.max_fits
-    )
-    return 0
+    return rows, 0
 
 
 def cmd_dump(args) -> int:
@@ -478,72 +451,80 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # plumbing
 
+# parsed names that are not run settings: the dispatch, the file whose values
+# are echoed as flags, and the worker count, which no number depends on
+_NOT_ECHOED = ("command", "run", "config", "workers")
 
-def _record(args, rows, started, **config) -> None:
-    """Emit one record of ``rows`` for ``args.command``, with its config echo.
 
-    Written to ``--out`` in ``--format``, or printed as a stdout summary.
+def _record(cmd, args) -> int:
+    """Run ``cmd`` and emit its rows as one record for ``args.command``; return its exit code.
+
+    ``cmd(args)`` returns ``(rows, exit code)``, or a third item: a dict of
+    keys the echo adds.  The config echo is every parsed flag but
+    ``_NOT_ECHOED``.  Written to ``--out`` in ``--format``, or printed as a
+    stdout summary.
     """
-    echo = {"format": args.format, "out": str(args.out) if args.out else None, **config}
+    started = time.perf_counter()
+    rows, code, *extra = cmd(args)
+    wall_clock_s = time.perf_counter() - started
+    echo = {key: val for key, val in vars(args).items() if key not in _NOT_ECHOED}
+    echo.update(*extra)
     # tuples (the z pairs) are not JSON round-trippable; normalize
     for key, val in echo.items():
         if isinstance(val, list):
             echo[key] = [list(v) if isinstance(v, tuple) else v for v in val]
-    record = ResultRecord(
-        command=args.command,
-        config=echo,
-        rows=rows,
-        wall_clock_s=time.perf_counter() - started,
-    )
+    record = ResultRecord(command=args.command, config=echo, rows=rows, wall_clock_s=wall_clock_s)
     if args.out:
         emit([record], args.format, args.out)
         print(f"wrote 1 record(s) to {args.out}")
     else:
         for row in rows:
             print({k: v for k, v in row.items() if v is not None})
+    return code
 
 
-def _add_common(sub, r_default: str, one=(), seed_max=math.inf, formats=("csv", "json")):
-    """Add the flags the sweep commands share.
+def _add_flags(sub, names: str, r: str = repr(DEFAULT_R_GRID[2]), one: str = "",
+               seed_max=_SEED_MAX):
+    """Add the shared flags ``names`` (space-separated) to the subcommand ``sub``.
 
-    ``r_default`` is the default --r text.  --r, --M and --seeds take one value when
+    ``r`` is the default --r text.  --r, --M and --seeds take one value when
     named in ``one``, else a comma list; seeds above ``seed_max`` are refused.
     """
     def shape(name):
-        return "one" if name in one else "list"
+        return "one" if name in one.split() else "list"
 
-    sub.add_argument("--config", help="flat key=value config file; flags win")
-    sub.add_argument("--out", help="output path (stdout summary if omitted)")
-    sub.add_argument("--format", choices=formats, default="csv")
-    sub.add_argument(
-        "--workers",
-        type=_typed(int, lambda n: n >= 1, "a worker count >= 1 (flag or env CCNET_WORKERS)"),
-        default=os.environ.get("CCNET_WORKERS") or "1",
-        help="lyapunov/xi-scaling worker processes (env CCNET_WORKERS); other commands ignore it",
-    )
-    sub.add_argument(
-        "--r",
-        type=_typed(float, lambda r: 0 < r < 1, "r strictly inside (0, 1)", shape("r")),
-        default=r_default,
-        help="comma list of r values",
-    )
-    sub.add_argument(
-        "--M", type=_at_least(1, shape("M")), default="2", help="comma list of strip half-widths"
-    )
-    sub.add_argument("--L", type=_at_least(0), default="2", help="window half-length parameter")
     seed_domain = "a seed >= 0" if seed_max == math.inf else f"a seed in [0, {seed_max}]"
-    sub.add_argument(
-        "--seeds",
-        "--seed",
-        type=_typed(int, lambda s: 0 <= s <= seed_max, seed_domain, shape("seeds")),
-        default="1",
-        help="comma list of seeds (non-empty)",
-    )
+    workers = _typed(int, lambda n: n >= 1, "a worker count >= 1 (flag or env CCNET_WORKERS)")
+    flags = {
+        "config": (["--config"], dict(help="flat key=value config file; flags win")),
+        "out": (["--out"], dict(help="output path (stdout summary if omitted)")),
+        "format": (["--format"], dict(choices=("csv", "json"), default="csv")),
+        "workers": (["--workers"], dict(
+            type=workers, default=os.environ.get("CCNET_WORKERS") or "1",
+            help="lyapunov/xi-scaling worker processes (env CCNET_WORKERS); other commands ignore it",
+        )),
+        "r": (["--r"], dict(
+            type=_typed(float, lambda r: 0 < r < 1, "r strictly inside (0, 1)", shape("r")),
+            default=r, help="comma list of r values",
+        )),
+        "M": (["--M"], dict(
+            type=_at_least(1, shape("M")), default="2", help="comma list of strip half-widths"
+        )),
+        "L": (["--L"], dict(type=_at_least(0), default="2", help="window half-length parameter")),
+        "seeds": (["--seeds", "--seed"], dict(
+            type=_typed(int, lambda s: 0 <= s <= seed_max, seed_domain, shape("seeds")),
+            default="1", help="comma list of seeds (non-empty)",
+        )),
+    }
+    for name in names.split():
+        flag_names, options = flags[name]
+        sub.add_argument(*flag_names, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ccnet parser.  Each flag's type states its domain, so parsing is
-    the only validation; --workers defaults to CCNET_WORKERS as read here."""
+    """The ccnet parser.  Each subcommand takes exactly the flags it reads, and
+    each flag's type states its domain, so parsing is the only validation;
+    --workers defaults to CCNET_WORKERS as read here."""
     parser = argparse.ArgumentParser(
         prog="ccnet",
         description="Cylinder network-model laboratory: cocycles, Lyapunov spectra, spectral checks.",
@@ -551,26 +532,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ccnet {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, help):
+    def command(name, run, help, flags="", **shared):
         sub = subs.add_parser(name, help=help)
         sub.set_defaults(run=run)
+        _add_flags(sub, flags, **shared)
         return sub
 
+    def recorded(name, cmd, help, flags, **shared):
+        # a command whose rows go out as one record, through _record
+        return command(name, partial(_record, cmd), help, "config out format " + flags, **shared)
+
     grid = ",".join(map(repr, DEFAULT_R_GRID))
-    root_half = repr(DEFAULT_R_GRID[2])
     steps = _at_least(BATCH_COUNT)
 
-    ly = command("lyapunov", cmd_lyapunov, "Lyapunov spectrum sweep + mean-law check")
-    _add_common(ly, grid)
+    ly = recorded("lyapunov", cmd_lyapunov, "Lyapunov spectrum sweep + mean-law check",
+                  "workers r M seeds", r=grid, seed_max=math.inf)
     ly.add_argument("--steps", type=steps, default="200000")
     ly.add_argument("--z", type=_parse_z, default="1,0", help="mod,arg/pi pairs; ';'-separated")
 
-    xi = command("xi-scaling", cmd_xi_scaling, "localization length vs strip width")
-    _add_common(xi, grid)
+    xi = recorded("xi-scaling", cmd_xi_scaling, "localization length vs strip width",
+                  "workers r M seeds", r=grid, seed_max=math.inf)
     xi.add_argument("--steps", type=steps, default="200000")
 
-    dos = command("dos", cmd_dos, "density-of-states moments and histogram")
-    _add_common(dos, root_half, one=("r", "M"), seed_max=_SEED_MAX)
+    # dos, det-check and decay read no --workers; they take it because the
+    # benchmark harness (perfbench/run.py) passes --workers 1 to every command
+    dos = recorded("dos", cmd_dos, "density-of-states moments and histogram",
+                   "workers r M L seeds", one="r M")
     dos.add_argument("--moments", type=_at_least(1), default="8")
     dos.add_argument("--bins", type=_at_least(1), default="64")
     dos.add_argument(
@@ -579,18 +566,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dos.add_argument("--hist-out", help="histogram CSV path")
 
-    det = command("det-check", cmd_det_check, "determinant identity residuals")
-    _add_common(det, "0.6", one=("r", "M"), seed_max=_SEED_MAX)
+    det = recorded("det-check", cmd_det_check, "determinant identity residuals",
+                   "workers r M L seeds", r="0.6", one="r M")
     det.add_argument("--z-count", type=_at_least(1), default="20")
 
-    bands = command("bands", cmd_bands, "trivial-phase symbol eigenphases")
-    _add_common(bands, root_half, one=("r",))
+    bands = recorded("bands", cmd_bands, "trivial-phase symbol eigenphases", "r", one="r")
     bands.add_argument("--nx", type=_at_least(1), default="64")
     bands.add_argument("--ny", type=_at_least(1), default="64")
     bands.add_argument("--table-out", help="full (x, y, theta) table CSV path")
 
-    decay = command("decay", cmd_decay, "eigenvector decay fits")
-    _add_common(decay, "0.95", one=("r", "M"), seed_max=_SEED_MAX)
+    decay = recorded("decay", cmd_decay, "eigenvector decay fits",
+                     "workers r M L seeds", r="0.95", one="r M")
     decay.add_argument(
         "--max-fits", type=_at_least(1), default="64", help="subsample this many eigenvectors"
     )
@@ -598,41 +584,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify = command("verify", cmd_verify, "exact-identity suite; exit 1 on violation")
     verify.add_argument("--quick", action="store_true", help="reduced draw counts, < 10 s")
 
-    dump = command("dump", cmd_dump, "export operator triplets or phase triples")
-    _add_common(dump, root_half, one=("r", "M", "seeds"), formats=("csv",), seed_max=_SEED_MAX)
+    dump = command("dump", cmd_dump, "export operator triplets or phase triples",
+                   "config out r M L seeds", one="r M seeds")
     dump.add_argument("--what", choices=["operator", "phases"], default="operator")
 
     return parser
 
 
-def _apply_config_file(parser, argv):
-    """Pre-parse --config and install file values as subparser defaults."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        parser.error("--config needs a path")
-    try:
-        values = _load_config_file(argv[idx + 1])
-    except (OSError, ValueError) as exc:
-        parser.error(f"--config: {exc}")
-    extra = []
-    given = {tok.split("=")[0] for tok in argv if tok.startswith("--")}
-    for key, val in values.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in given or flag == "--config":
-            continue
-        extra.extend([flag, val])
-    # file values first: explicit flags appear later and win
-    return extra + argv
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if argv and not argv[0].startswith("-"):
-        argv = [argv[0]] + _apply_config_file(parser, argv[1:])
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        try:
+            file_flags = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
+        # the file's values go right after the command name, so the explicit flags win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + file_flags + argv[at:])
     try:
         return args.run(args)
     except DeskScaleError as exc:

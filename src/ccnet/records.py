@@ -57,14 +57,6 @@ class ResultRecord:
     wall_clock_s: float = 0.0
     version: str = __version__
 
-    def data_equal(self, other: "ResultRecord") -> bool:
-        """Equality of the deterministic data section (metadata excluded)."""
-        return (
-            self.command == other.command
-            and self.config == other.config
-            and self.rows == other.rows
-        )
-
 
 def _format_cell(value) -> str:
     if value is None:

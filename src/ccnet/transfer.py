@@ -120,10 +120,6 @@ class LayerPhases:
     def random(cls, rng: np.random.Generator, M: int) -> "LayerPhases":
         return cls(M=M, phases=np.exp(2j * np.pi * rng.random(4 * M)))
 
-    @classmethod
-    def ones(cls, M: int) -> "LayerPhases":
-        return cls(M=M, phases=np.ones(4 * M, dtype=complex))
-
     def twisted(self, w: complex) -> "LayerPhases":
         """The phase twist w . p: even slots scaled by 1/w, odd slots by w.
 

@@ -66,9 +66,8 @@ def test_json_round_trip(tmp_path):
     )
     path = tmp_path / "out.json"
     emit([record], "json", path)
-    loaded = read_records(path, "json")
-    assert len(loaded) == 1
-    assert loaded[0].data_equal(record)
+    (loaded,) = read_records(path, "json")
+    assert (loaded.command, loaded.config, loaded.rows) == (record.command, record.config, rows)
 
 
 def test_record_version_is_package_version():
@@ -242,8 +241,6 @@ def test_single_value_commands_reject_extra_values(tmp_path, capsys, argv):
         # an empty --r used to run the default r values
         (["lyapunov", "--r", "", "--M", "1", "--steps", "40"], "--r"),
         (["dos", "--r", ""], "--r"),
-        # dump writes CSV only; json used to be accepted and CSV written
-        (["dump", "--format", "json"], "--format"),
         # seeds feed np.random.default_rng, which refuses negative ones
         (["lyapunov", "--seeds", "-1"], "--seeds"),
         (["xi-scaling", "--seeds", "-3"], "--seeds"),
@@ -303,7 +300,15 @@ def _at_least(least):
 
 def _flag_domains():
     """(command, flag, convert, in-domain test, shape, least) for each numeric flag, as documented."""
-    one = {"dos": "rM", "det-check": "rM", "decay": "rM", "bands": "r", "dump": "rMs"}
+    flags = {  # each command's numeric flags; those in the second string take one value
+        "lyapunov": ("--workers --r --M --seeds", ""),
+        "xi-scaling": ("--workers --r --M --seeds", ""),
+        "dos": ("--workers --r --M --L --seeds", "--r --M"),
+        "det-check": ("--workers --r --M --L --seeds", "--r --M"),
+        "bands": ("--r", "--r"),
+        "decay": ("--workers --r --M --L --seeds", "--r --M"),
+        "dump": ("--r --M --L --seeds", "--r --M --seeds"),
+    }
     extra = {
         "lyapunov": [("--steps", BATCH_COUNT)],
         "xi-scaling": [("--steps", BATCH_COUNT)],
@@ -314,20 +319,23 @@ def _flag_domains():
         "dump": [],
     }
     rows = []
-    for command, flags in extra.items():
-        shape = {key: "one" if key in one.get(command, "") else "list" for key in "rMs"}
-        if command in ("dos", "det-check", "decay", "dump"):  # seeds feed the site-phase hash
-            seed_ok = lambda seed: 0 <= seed <= 2**63 - 1  # noqa: E731
-        else:
+    for command, (shared, one) in flags.items():
+        if command in ("lyapunov", "xi-scaling"):
             seed_ok = _at_least(0)
-        rows += [
-            (command, "--workers", int, _at_least(1), "scalar", 1),
-            (command, "--L", int, _at_least(0), "scalar", 0),
-            (command, "--r", float, lambda r: 0 < r < 1, shape["r"], 0),
-            (command, "--M", int, _at_least(1), shape["M"], 1),
-            (command, "--seeds", int, seed_ok, shape["s"], 0),
-        ]
-        rows += [(command, flag, int, _at_least(least), "scalar", least) for flag, least in flags]
+        else:  # seeds feed the site-phase hash
+            seed_ok = lambda seed: 0 <= seed <= 2**63 - 1  # noqa: E731
+        domains = {
+            "--workers": (int, _at_least(1), 1),
+            "--L": (int, _at_least(0), 0),
+            "--r": (float, lambda r: 0 < r < 1, 0),
+            "--M": (int, _at_least(1), 1),
+            "--seeds": (int, seed_ok, 0),
+        }
+        for flag in shared.split():
+            convert, ok, least = domains[flag]
+            shape = "scalar" if flag in ("--workers", "--L") else "one" if flag in one.split() else "list"
+            rows.append((command, flag, convert, ok, shape, least))
+        rows += [(command, flag, int, _at_least(least), "scalar", least) for flag, least in extra[command]]
     rows.append(("dos", "--moment-tol", float, lambda tol: 0 < tol < math.inf, "scalar", 0))
     return rows
 
@@ -400,6 +408,57 @@ def test_z_type_refuses_exactly_outside_the_domain(parser, text):
         assert got[0] == 2 and "error: argument --z" in got[1]
 
 
+# each command's flags that take no number
+_OTHER_FLAGS = {
+    "lyapunov": "--config --out --format --z",
+    "xi-scaling": "--config --out --format",
+    "dos": "--config --out --format --hist-out",
+    "det-check": "--config --out --format",
+    "bands": "--config --out --format --table-out",
+    "decay": "--config --out --format",
+    "verify": "--quick",
+    "dump": "--config --out --what",
+}
+
+
+def test_each_command_takes_exactly_the_documented_flags(parser):
+    (subs,) = [action.choices for action in parser._actions if action.dest == "command"]
+    taken = {
+        (command, action.option_strings[0])
+        for command, sub in subs.items()
+        for action in sub._actions
+        if action.dest != "help"
+    }
+    documented = {(row[0], row[1]) for row in _FLAG_DOMAINS} | {
+        (command, flag) for command, flags in _OTHER_FLAGS.items() for flag in flags.split()
+    }
+    assert taken == documented
+    assert len(taken) == 62
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lyapunov", "--L", "2"],
+        ["xi-scaling", "--L", "2"],
+        ["bands", "--M", "2"],
+        ["bands", "--L", "2"],
+        ["bands", "--seeds", "1"],
+        ["bands", "--workers", "1"],
+        ["dump", "--workers", "1"],
+        ["dump", "--format", "csv"],
+        ["dump", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
+    # these parsed and were then ignored; dump --format json wrote CSV
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
 @pytest.mark.parametrize("z", ["1e-200,0", "1e200,0", "1.7e308,0"])
 def test_lyapunov_nan_exponents_fail_the_mean_law(tmp_path, z):
     # the cocycle overflows in one step; a nan mean used to pass (exit 0, status ok),
@@ -454,6 +513,38 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
         assert exc.value.code == 2
         assert "error: --config: " in capsys.readouterr().err
 
+
+def test_config_spellings_read_the_same_file(tmp_path):
+    # --config=PATH and the prefix --conf used to parse and leave the file
+    # unread, running the default r grid at 200000 steps
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = 0.6\nM = 1\nsteps = 2000\nseeds = 3\n")
+    outputs = []
+    for spelling in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        out = tmp_path / f"out{len(outputs)}.csv"
+        main(["lyapunov", *spelling, "--out", str(out)])
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert {(row["r"], row["n_steps"]) for row in read_records(out, "csv")} == {(0.6, 2000)}
+
+
+@pytest.mark.parametrize(
+    "text, flags, message",
+    [
+        ("r = 0.6\nL = 2\n", [], "unrecognized arguments: --L=2"),
+        # a bad file value is refused even where a flag overrides it
+        ("steps = 5\n", ["--steps", "3000"], "argument --steps"),
+    ],
+    ids=["unknown-key", "bad-overridden-value"],
+)
+def test_config_file_values_parse_as_flags(tmp_path, capsys, text, flags, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["lyapunov", "--config", str(cfg), *flags, "--out", str(tmp_path / "out.csv")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 def test_det_check_command(tmp_path):
     out = tmp_path / "det.csv"
@@ -563,7 +654,7 @@ def test_decay_command(tmp_path):
     }
 
 
-def test_decay_runs_past_the_pencil_cap(tmp_path):
+def test_decay_runs_past_the_schur_cap(tmp_path):
     # N = 2M (4L + 1) = 4804 > DESK_SCALE_CAP: phases and the fitted vectors
     # come from band solves, so the cap of the dense Schur solve does not apply
     out = tmp_path / "decay.csv"
@@ -573,7 +664,7 @@ def test_decay_runs_past_the_pencil_cap(tmp_path):
     assert [row["k"] for row in rows] == list(range(0, 4804, 4804 // 64))
 
 
-def test_pencil_past_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_schur_past_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # the L = 0 ring shift has mirror pairs, so its phases need the Schur form
     monkeypatch.setattr(spectral, "DESK_SCALE_CAP", 3)
     with pytest.raises(SystemExit) as exc:
@@ -617,6 +708,30 @@ def test_dos_and_decay_echo_the_flags_that_shape_their_rows(tmp_path):
     # N = 26: every third vector at --max-fits 8, all 26 at --max-fits 64
     assert [len(records[fits].rows) for fits in (8, 64)] == [9, 26]
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lyapunov", "--r", "0.6", "--M", "1", "--steps", "20", "--z", "1,0;1,0.5"],
+        ["xi-scaling", "--r", "0.6", "--M", "1", "--steps", "20"],
+        ["dos", "--M", "1", "--L", "1", "--moments", "1", "--bins", "2"],
+        ["det-check", "--M", "1", "--L", "1", "--z-count", "1"],
+        ["bands", "--nx", "2", "--ny", "2"],
+        ["decay", "--M", "1", "--L", "2", "--max-fits", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_echo_is_every_parsed_flag_but_dispatch_config_and_workers(parser, tmp_path, argv):
+    argv = [*argv, "--format", "json", "--out", str(tmp_path / "out.json")]
+    main(argv)
+    (record,) = read_records(tmp_path / "out.json", "json")
+    parsed = vars(parser.parse_args(argv))
+    echo = {k: v for k, v in parsed.items() if k not in ("command", "run", "config", "workers")}
+    # JSON holds the z pairs as lists
+    echo = json.loads(json.dumps(echo))
+    if argv[0] == "xi-scaling":
+        echo["xi_upper_bound"] = record.config["xi_upper_bound"]
+    assert record.config == echo
 
 def test_xi_scaling_command(tmp_path):
     out = tmp_path / "xi.json"
@@ -701,6 +816,14 @@ def test_package_exports_are_the_layer_all_lists():
     }
     assert exported == set().union(*(module.__all__ for module in layers))
 
+
+def test_readme_command_lines_parse(parser):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].split() for line in block.splitlines() if line.startswith("ccnet ")]
+    assert len(lines) == 9
+    for argv in lines:
+        assert _parse_exit(parser, argv[1:]) == 0, argv
 
 def test_dump_operator_round_trip(tmp_path):
     out = tmp_path / "op.csv"

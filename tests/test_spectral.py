@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -179,7 +180,7 @@ def test_eigendecompose_gates_reject_non_unitary(vectors):
 # phase by 1.2e-11 (seed 0) or loses two phases (seed 868754)
 @example(r=2.2250738585e-313, M=1, L=1, seed=0)
 @example(r=2.2250738585e-313, M=1, L=1, seed=868754)
-def test_banded_eigenphases_match_pencil(r, M, L, seed):
+def test_banded_eigenphases_match_schur(r, M, L, seed):
     op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
     banded = eigendecompose(op, want_vectors=False)
     schur = _schur_decompose(op, None)
@@ -212,7 +213,7 @@ def test_benchmark_operators_take_banded_path(r, M, L, fits, caplog):
     assert not caplog.records
 
 
-def test_fallback_to_pencil_is_logged(caplog):
+def test_fallback_to_schur_is_logged(caplog):
     # the L = 0, M = 2 ring shift has the mirror pairs +-pi/2 at centre 0
     op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 2), 0, 2)
     with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
@@ -260,6 +261,19 @@ def _decay_statuses(spec, indices):
     return [eigenvector_decay_fit(spec, k).status for k in indices]
 
 
+def _dense_shifted_vectors(dense, shifts):
+    """One dense solve of (sigma - U) x = b per shift sigma, from a fixed start b.
+
+    Each shift is a computed eigenvalue, so the solve returns its eigenvector
+    up to rounding: the unit columns x and their Rayleigh quotients x* U x.
+    """
+    n = len(dense)
+    b = np.random.default_rng(0).standard_normal(n)
+    x = np.column_stack([np.linalg.solve(sigma * np.eye(n) - dense, b) for sigma in shifts])
+    x /= np.linalg.norm(x, axis=0)
+    return x, np.einsum("ij,ij->j", x.conj(), dense @ x)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     r=st.sampled_from([0.3, 0.6, math.sqrt(0.5), 0.95]),
@@ -270,17 +284,17 @@ def _decay_statuses(spec, indices):
 )
 # phase 158 has a neighbour 1.48e-5 away (see the close-pair test below)
 @example(r=math.sqrt(0.5), M=2, L=22, seed=7636235, picks=[0.4453125])
-def test_banded_vectors_match_pencil(r, M, L, seed, picks):
+def test_banded_vectors_match_dense_solves(r, M, L, seed, picks):
     op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
     indices = [int(p * op.dim) for p in picks]
     banded = eigendecompose(op, want_vectors=indices)
-    schur = _schur_decompose(op, np.asarray(indices))
     assert banded.solver == "banded" and banded.eigenvectors.shape == (op.dim, len(indices))
     assert list(banded.vector_indices) == indices
     dense = op.matrix.toarray()
-    got, want = banded.eigenvectors, schur.eigenvectors
+    want, want_values = _dense_shifted_vectors(dense, banded.eigenvalues[indices])
+    got = banded.eigenvectors
     res_got = np.linalg.norm(dense @ got - got * banded.eigenvalues[indices], axis=0)
-    res_want = np.linalg.norm(dense @ want - want * schur.eigenvalues[indices], axis=0)
+    res_want = np.linalg.norm(dense @ want - want * want_values, axis=0)
     assert res_got.max() <= 1e-12 and banded.max_residual <= 1e-12
     # columns agree to 1e-10, or to the Davis-Kahan bound (res + res') / gap
     # on two vectors whose phase sits that close to its neighbours
@@ -289,7 +303,8 @@ def test_banded_vectors_match_pencil(r, M, L, seed, picks):
     gaps[indices, range(len(indices))] = np.inf
     bound = np.maximum(1e-10, (res_got + res_want) / gaps.min(axis=0))
     assert np.all(_aligned_gaps(got, want) <= bound)
-    assert _decay_statuses(banded, indices) == _decay_statuses(schur, indices)
+    oracle = dataclasses.replace(banded, eigenvectors=want)
+    assert _decay_statuses(banded, indices) == _decay_statuses(oracle, indices)
 
 
 def test_fallback_vector_of_a_close_pair_matches_banded(monkeypatch):
@@ -324,7 +339,7 @@ def test_vector_fallback_returns_requested_columns(caplog):
     assert np.array_equal(spec.eigenphases, full.eigenphases)
 
 
-def test_repeated_phase_vectors_come_from_the_pencil(caplog):
+def test_repeated_phase_vectors_come_from_the_schur_form(caplog):
     # one shift cannot tell the five copies of 1.234 apart, and inverse
     # iteration would return the same vector for each
     rng = np.random.default_rng(43)

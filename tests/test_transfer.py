@@ -63,9 +63,9 @@ def test_blocks_domain_errors(lopsided):
     with pytest.raises(ValueError):
         layer_matrices(1.0, 2, ModelParams.from_r(0.0))
     with pytest.raises(ValueError):
-        cocycle_step(0.0, LayerPhases.ones(2), lopsided)
+        cocycle_step(0.0, LayerPhases(2, np.ones(8)), lopsided)
     with pytest.raises(ValueError):
-        cocycle_step(1.0, LayerPhases.ones(2), ModelParams.from_r(1.0))
+        cocycle_step(1.0, LayerPhases(2, np.ones(8)), ModelParams.from_r(1.0))
 
 
 def _layer_matrices_loop(z, M, params):
@@ -133,7 +133,7 @@ def test_cocycle_norm_bound_critical(rng, critical):
 def test_cocycle_trivial_layer_is_m2_m1(lopsided):
     z = np.exp(0.2j)
     m1, m2 = layer_matrices(z, 2, lopsided)
-    step = cocycle_step(z, LayerPhases.ones(2), lopsided)
+    step = cocycle_step(z, LayerPhases(2, np.ones(8)), lopsided)
     assert np.allclose(step.matrix, m2 @ m1, atol=1e-15)
 
 
@@ -339,7 +339,7 @@ def test_reconstruct_plane_wave_bounded(critical):
     z = np.sqrt(w)
     phases = sample_phase_field(0, 8, M)
     trivial = type(phases)(L=8, M=M, values=np.ones_like(phases.values))
-    step = cocycle_step(z, LayerPhases.ones(M), critical)
+    step = cocycle_step(z, LayerPhases(M, np.ones(4 * M)), critical)
     evals, evecs = np.linalg.eig(step.matrix)
     on_circle = np.argmin(np.abs(np.abs(evals) - 1.0))
     assert abs(abs(evals[on_circle]) - 1.0) <= 1e-9
@@ -356,6 +356,6 @@ def test_gap_z_has_no_bounded_solution(lopsided):
     # r != t opens gaps around the eighth roots e^{+-i pi/4}: the squared-walk
     # quasi-energy 2 phi falls outside |sin| <= 2rt there, and every transfer
     # eigenvalue leaves the unit circle
-    step = cocycle_step(np.exp(1j * np.pi / 4), LayerPhases.ones(2), lopsided)
+    step = cocycle_step(np.exp(1j * np.pi / 4), LayerPhases(2, np.ones(8)), lopsided)
     evals = np.linalg.eigvals(step.matrix)
     assert np.min(np.abs(np.abs(evals) - 1.0)) > 1e-2
