@@ -41,7 +41,6 @@ from .lyapunov import (
     LyapunovResult,
     localization_length,
     lyapunov_spectra,
-    lyapunov_spectrum,
     thouless_rhs,
     xi_upper_bound,
 )

@@ -41,6 +41,7 @@ from .lyapunov import (
 )
 from .records import ResultRecord, canonical_row, emit
 from .spectral import (
+    _BAND_DET_TOL,
     _DET_IDENTITY_TOL,
     DeskScaleError,
     band_grid,
@@ -122,6 +123,7 @@ def _config_flags(path: str) -> list[str]:
     """The ``key = value`` lines of a flat config file as ``--key=value`` flags.
 
     Blank lines and ``#`` comments are skipped; ``_`` in a key reads as ``-``.
+    A ``config`` key is refused: config files do not nest.
     """
     flags = []
     with open(path) as fh:
@@ -132,35 +134,30 @@ def _config_flags(path: str) -> list[str]:
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = stripped.partition("=")
-            flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+            key = key.strip().replace("_", "-")
+            # argparse reads any prefix of --config as --config, and the
+            # explicit --config would override it, leaving the file unread
+            if key and "config".startswith(key):
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+            flags.append(f"--{key}={val.strip()}")
     return flags
 
 
-def _parallel(fn, cells, workers: int):
-    if workers <= 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cells))
+def _parallel(fn, parts):
+    """``fn`` of each part, one worker process per part when there are several."""
+    if len(parts) <= 1:
+        return [fn(part) for part in parts]
+    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+        return list(pool.map(fn, parts))
 
 
 # ---------------------------------------------------------------------------
 # lyapunov / xi-scaling
 
 
-def _lyapunov_group(cells):
-    """Run cells of equal (M, n_steps) as one lockstep batch; returns (cell, result) pairs."""
-    configs = [
-        CocycleRunConfig(
-            params=ModelParams.from_r(r), M=M, n_steps=n_steps, seed=seed, z=_z_value(*z_pair)
-        )
-        for r, M, z_pair, seed, n_steps in cells
-    ]
-    return list(zip(cells, lyapunov_spectra(configs)))
-
-
-def _lyapunov_rows(cell, result):
-    r, M, z_pair, seed, n_steps = cell
-    params = result.config.params
+def _lyapunov_rows(z_pair, result):
+    config = result.config
+    params, M = config.params, config.M
     xi = localization_length(result)
     on_circle = abs(z_pair[0] - 1.0) < 1e-12
     failures = []
@@ -181,8 +178,8 @@ def _lyapunov_rows(cell, result):
         M=M,
         z_mod=z_pair[0],
         z_arg_over_pi=z_pair[1],
-        seed=seed,
-        n_steps=n_steps,
+        seed=config.seed,
+        n_steps=config.n_steps,
     )
     # k = 0 summary row: the mean of the top M exponents (the Thouless check)
     rows = [
@@ -212,35 +209,37 @@ def _lyapunov_rows(cell, result):
 
 
 def _lyapunov_results(args, zs):
-    """Run the sorted (r, M, z, seed) cells in lockstep batches of equal (M, steps).
+    """(z pair, result) for each sorted (r, M, z, seed) cell.
 
-    Each (M, steps) group is split into at most ``workers`` contiguous,
-    near-equal batches, so one M still spreads over the pool; a cell's
-    result does not depend on its batch.  Returns the (cell, result) pairs
-    in sorted cell order.
+    The cells are dealt round-robin in M-major order into at most
+    ``workers`` parts, so the cells of each M spread over the parts as
+    evenly as their count allows; each part is one ``lyapunov_spectra``
+    call, and a cell's result does not depend on its part.
     """
     cells = sorted(
-        (r, M, z, seed, args.steps)
-        for r in args.r for M in args.M for z in zs for seed in args.seeds
+        (r, M, z, seed) for r in args.r for M in args.M for z in zs for seed in args.seeds
     )
-    groups = {}
-    for cell in cells:
-        groups.setdefault((cell[1], cell[4]), []).append(cell)
-    batches = []
-    for group in groups.values():
-        parts = min(args.workers, len(group))
-        edges = [i * len(group) // parts for i in range(parts + 1)]
-        batches += [group[a:b] for a, b in zip(edges, edges[1:])]
-    results = dict(
-        pair for done in _parallel(_lyapunov_group, batches, args.workers) for pair in done
-    )
-    return [(cell, results[cell]) for cell in cells]
+    configs = [
+        CocycleRunConfig(
+            params=ModelParams.from_r(r), M=M, n_steps=args.steps, seed=seed, z=_z_value(*z_pair)
+        )
+        for r, M, z_pair, seed in cells
+    ]
+    order = sorted(range(len(configs)), key=lambda i: configs[i].M)
+    parts = min(args.workers, len(configs))
+    dealt = [order[k::parts] for k in range(parts)]
+    results = [None] * len(configs)
+    done = _parallel(lyapunov_spectra, [[configs[i] for i in part] for part in dealt])
+    for part, part_results in zip(dealt, done):
+        for i, result in zip(part, part_results):
+            results[i] = result
+    return [(cell[2], result) for cell, result in zip(cells, results)]
 
 
 def cmd_lyapunov(args):
     all_rows, any_fail = [], False
-    for cell, result in _lyapunov_results(args, args.z):
-        rows, failures = _lyapunov_rows(cell, result)
+    for z_pair, result in _lyapunov_results(args, args.z):
+        rows, failures = _lyapunov_rows(z_pair, result)
         all_rows.extend(rows)
         any_fail |= bool(failures)
     return all_rows, 1 if any_fail else 0
@@ -252,12 +251,12 @@ def cmd_xi_scaling(args):
     The config echo adds the crude xi upper bound per (r, M).
     """
     view = []
-    for cell, result in _lyapunov_results(args, [(1.0, 0.0)]):
-        rows, _ = _lyapunov_rows(cell, result)
+    for z_pair, result in _lyapunov_results(args, [(1.0, 0.0)]):
+        rows, _ = _lyapunov_rows(z_pair, result)
         xi = localization_length(result)
         status = "ok" if xi.status == "ok" else "xi " + xi.status
         # rows[k] carries exponent k; xi_M sits on row k = M
-        view.append(dict(rows[cell[1]], command="xi-scaling", status=status))
+        view.append(dict(rows[result.M], command="xi-scaling", status=status))
     bounds = [[r, M, xi_upper_bound(ModelParams.from_r(r), M)] for r in args.r for M in args.M]
     return view, 0, {"xi_upper_bound": bounds}
 
@@ -353,8 +352,6 @@ def cmd_det_check(args):
 def cmd_bands(args):
     params = ModelParams.from_r(args.r)
     structure = band_grid(params, args.nx, args.ny)
-    edge = structure.band_edge()
-    expected = math.asin(min(1.0, 2.0 * params.rt))
     rows = [
         canonical_row(
             command="bands",
@@ -369,8 +366,8 @@ def cmd_bands(args):
             r=params.r,
             t=params.t,
             k=1,
-            lambda_k=edge,
-            stderr_k=abs(edge - expected),
+            lambda_k=structure.band_edge(),
+            stderr_k=structure.edge_error(),
             status="band edge (stderr column = |edge - arcsin(2rt)|)",
         ),
     ]
@@ -381,7 +378,7 @@ def cmd_bands(args):
                 for j, y in enumerate(structure.ys):
                     lo, hi = structure.eigenphases[i, j]
                     fh.write(f"{float(x)!r},{float(y)!r},{float(lo)!r},{float(hi)!r}\n")
-    return rows, 0 if structure.det_defect <= 1e-12 else 1
+    return rows, 0 if structure.det_defect <= _BAND_DET_TOL else 1
 
 
 def cmd_decay(args):

@@ -26,6 +26,7 @@ from .model import (
     scattering_matrix,
 )
 from .spectral import (
+    _BAND_DET_TOL,
     _DET_IDENTITY_TOL,
     band_grid,
     build_parity_operators,
@@ -159,13 +160,10 @@ def band_symbol(rs):
     """Trivial-phase band symbol: det defect 1e-12, band edge at arcsin(2rt) to 1e-9."""
     det_defect, edge_err = 0.0, 0.0
     for r in rs:
-        params = ModelParams.from_r(r)
-        structure = band_grid(params, 64, 64)
+        structure = band_grid(ModelParams.from_r(r), 64, 64)
         det_defect = max(det_defect, structure.det_defect)
-        edge_err = max(
-            edge_err, abs(structure.band_edge() - math.asin(min(1.0, 2 * params.rt)))
-        )
-    ok = det_defect <= 1e-12 and edge_err <= 1e-9
+        edge_err = max(edge_err, structure.edge_error())
+    ok = det_defect <= _BAND_DET_TOL and edge_err <= 1e-9
     return ok, f"det defect {det_defect:.2e}, edge error {edge_err:.2e}"
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "LyapunovResult",
     "LocalizationLength",
     "lyapunov_spectra",
-    "lyapunov_spectrum",
     "localization_length",
     "thouless_rhs",
     "xi_upper_bound",
@@ -161,21 +160,31 @@ def _phase_stream(rngs, M: int, steps: int):
         yield from zip(*_split_slots(np.exp(2j * np.pi * uni)))
 
 
-def lyapunov_spectrum(config: CocycleRunConfig) -> LyapunovResult:
-    """Estimate the full 2M Lyapunov spectrum of the cocycle at config.z.
-
-    A batch of one chain through ``lyapunov_spectra``.
-    """
-    return lyapunov_spectra([config])[0]
-
-
 def lyapunov_spectra(configs) -> list[LyapunovResult]:
-    """Estimate the spectra of several chains, stepped in lockstep as one stack.
+    """Estimate the full 2M Lyapunov spectrum of each config's chain, in input order.
 
-    Every config must share M and n_steps (and so the segments); r, t, z,
-    seed and the period are per chain.  Phases are drawn i.i.d. uniform per
-    layer from each chain's own seeded generator.  The steps run as
-    segments: the burn-in, whose logs are dropped, then ``BATCH_COUNT``
+    Chains of equal M and n_steps (and so equal segments) step in lockstep
+    as one stack (``_lockstep``); any mix of shapes is grouped that way.
+    Each result is bitwise the one its chain gives alone: no chain reads
+    another's draws, frame or sums.
+    """
+    configs = list(configs)
+    stacks = {}
+    for index, config in enumerate(configs):
+        stacks.setdefault((config.M, config.n_steps), []).append(index)
+    results = [None] * len(configs)
+    for indices in stacks.values():
+        for index, result in zip(indices, _lockstep([configs[i] for i in indices])):
+            results[index] = result
+    return results
+
+
+def _lockstep(configs) -> list[LyapunovResult]:
+    """Estimate the spectra of chains of equal M and n_steps, stepped as one stack.
+
+    r, t, z, seed and the period are per chain.  Phases are drawn i.i.d.
+    uniform per layer from each chain's own seeded generator.  The steps run
+    as segments: the burn-in, whose logs are dropped, then ``BATCH_COUNT``
     batches, batch b holding the kept steps from ceil(b n / nb) up to
     ceil((b+1) n / nb) exclusive.  Within a segment a chain is re-orthonormalized every
     ``effective_reorth_period`` steps, with one stacked QR over the chains
@@ -184,16 +193,9 @@ def lyapunov_spectra(configs) -> list[LyapunovResult]:
     estimate is total / (2 * n_steps) per exponent and the standard error is
     the batch-means spread.  Exponents are returned sorted descending
     together with the matching stderr permutation, one result per config in
-    order.  Each result is bitwise the one its chain gives alone: no chain
-    reads another's draws, frame or sums.
+    order.
     """
-    configs = list(configs)
-    if not configs:
-        return []
-    shape = {(c.M, c.n_steps) for c in configs}
-    if len(shape) > 1:
-        raise ValueError("chains in one batch need equal M and n_steps")
-    ((M, n),) = shape
+    M, n = configs[0].M, configs[0].n_steps
     burn, nb = configs[0].effective_burn_in, BATCH_COUNT
     B, two_m = len(configs), 2 * M
     rngs = [np.random.default_rng(c.seed) for c in configs]

@@ -575,6 +575,9 @@ def band_symbol(x, y, params: ModelParams) -> np.ndarray:
     return np.stack([top, bottom], axis=-2)
 
 
+_BAND_DET_TOL = 1e-12  # largest symbol determinant defect that passes
+
+
 @dataclass(frozen=True)
 class BandStructure:
     """Symbol eigenphases over the momentum grid of ``band_grid``."""
@@ -588,6 +591,10 @@ class BandStructure:
     def band_edge(self) -> float:
         """Largest |sin theta| over the grid, as an angle: the band edge arcsin(2rt)."""
         return float(np.max(np.abs(np.arcsin(np.clip(np.sin(self.eigenphases), -1, 1)))))
+
+    def edge_error(self) -> float:
+        """|band_edge - arcsin(min(1, 2rt))|, the distance to the closed-form edge."""
+        return abs(self.band_edge() - math.asin(min(1.0, 2.0 * self.params.rt)))
 
 
 def band_grid(params: ModelParams, nx: int = 64, ny: int = 64) -> BandStructure:

@@ -22,7 +22,6 @@ from ccnet import (
     eigenvector_decay_fit,
     invariants,
     lyapunov_spectra,
-    lyapunov_spectrum,
     sample_phase_field,
     thouless_rhs,
 )
@@ -108,8 +107,8 @@ def test_criterion_04_simplicity_and_positivity():
         n = 50_000
         resolved_at = None
         while n <= 10_000_000:
-            result = lyapunov_spectrum(
-                CocycleRunConfig(params=CRITICAL, M=M, n_steps=n, seed=40 + M)
+            (result,) = lyapunov_spectra(
+                [CocycleRunConfig(params=CRITICAL, M=M, n_steps=n, seed=40 + M)]
             )
             gaps = result.gaps()  # top-M consecutive gaps, then lambda_M itself
             sigmas = result.gap_stderrs()
@@ -195,9 +194,7 @@ def test_criterion_12_cyclicity():
 
 def test_criterion_13_eigenvector_decay_exploratory():
     params = ModelParams.from_r(0.95)
-    result = lyapunov_spectrum(
-        CocycleRunConfig(params=params, M=2, n_steps=N_STEPS, seed=13)
-    )
+    (result,) = lyapunov_spectra([CocycleRunConfig(params=params, M=2, n_steps=N_STEPS, seed=13)])
     lo = float(result.exponents[1]) - 0.1  # lambda_M - 0.1
     hi = float(result.exponents[0]) + 0.1  # lambda_1 + 0.1
     op = build_cylinder_operator(params, sample_phase_field(1300, 100, 2), 100, 2)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import inspect
 import io
@@ -534,8 +535,11 @@ def test_config_spellings_read_the_same_file(tmp_path):
         ("r = 0.6\nL = 2\n", [], "unrecognized arguments: --L=2"),
         # a bad file value is refused even where a flag overrides it
         ("steps = 5\n", ["--steps", "3000"], "argument --steps"),
+        # config files do not nest; argparse would read a prefix as --config too
+        ("config = nowhere.cfg\nr = 0.6\nM = 1\nsteps = 20\n", [], "cannot name another"),
+        ("conf = nowhere.cfg\nr = 0.6\nM = 1\nsteps = 20\n", [], "cannot name another"),
     ],
-    ids=["unknown-key", "bad-overridden-value"],
+    ids=["unknown-key", "bad-overridden-value", "nested-config", "nested-config-prefix"],
 )
 def test_config_file_values_parse_as_flags(tmp_path, capsys, text, flags, message):
     cfg = tmp_path / "run.cfg"
@@ -817,6 +821,19 @@ def test_package_exports_are_the_layer_all_lists():
     assert exported == set().union(*(module.__all__ for module in layers))
 
 
+def test_readme_library_imports_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "ccnet"
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if not hasattr(ccnet, name)] == []
+
+
 def test_readme_command_lines_parse(parser):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -845,29 +862,35 @@ def test_dump_operator_round_trip(tmp_path):
 
 
 def test_workers_parallel_matches_serial(tmp_path):
-    # two M values make two lockstep batches, so the pool really runs both
-    base = ["lyapunov", "--r", "0.6,0.7", "--M", "1,2", "--steps", "2000", "--seeds", "1,2"]
+    # 12 cells dealt round-robin into 3 parts: each part mixes all three M
+    base = ["lyapunov", "--r", "0.6,0.7", "--M", "1,2,3", "--steps", "2000", "--seeds", "1,2"]
     a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
     assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
+    assert main(base + ["--workers", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_workers_split_one_m_over_the_pool(tmp_path, monkeypatch):
-    # one M is one (M, steps) group; --workers 2 splits it into two batches
-    tasks = []
+    # the cells of each M are dealt over the parts, also when there is one
+    # seed and one z, where (r, M) order would give each part a single M
+    parts = []
 
-    class CountingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(cli.ProcessPoolExecutor):
         def map(self, fn, *iterables, **kwargs):
             batches = list(iterables[0])
-            tasks.append(len(batches))
+            parts.append([[config.M for config in batch] for batch in batches])
             return super().map(fn, batches, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-    base = ["lyapunov", "--r", "0.6,0.7", "--M", "1", "--steps", "2000", "--seeds", "1,2"]
-    a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
-    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
-    assert tasks == []
-    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
-    assert tasks == [2]
-    assert a.read_bytes() == b.read_bytes()
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    for M, seeds, dealt in [
+        ("1", "1,2", [[1, 1], [1, 1]]),
+        ("1,2", "1", [[1, 2], [1, 2]]),
+    ]:
+        parts.clear()
+        base = ["lyapunov", "--r", "0.6,0.7", "--M", M, "--steps", "2000", "--seeds", seeds]
+        a, b = tmp_path / "serial.csv", tmp_path / "par.csv"
+        assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+        assert parts == []
+        assert main(base + ["--workers", "2", "--out", str(b)]) == 0
+        assert parts == [dealt]
+        assert a.read_bytes() == b.read_bytes()

@@ -14,7 +14,6 @@ from ccnet import (
     cocycle_step,
     localization_length,
     lyapunov_spectra,
-    lyapunov_spectrum,
     thouless_rhs,
     xi_upper_bound,
 )
@@ -156,9 +155,7 @@ def test_config_rejects_bad_shapes(critical):
 
 
 def _run(params, M, n, seed, **kw):
-    return lyapunov_spectrum(
-        CocycleRunConfig(params=params, M=M, n_steps=n, seed=seed, **kw)
-    )
+    return lyapunov_spectra([CocycleRunConfig(params=params, M=M, n_steps=n, seed=seed, **kw)])[0]
 
 
 @contextlib.contextmanager
@@ -259,7 +256,7 @@ def test_engine_matches_reference_at_period_one():
         for config, result in zip(mixed[:3], batch[:3]):
             assert config.effective_reorth_period == 1
             exponents, stderrs = _reference_spectrum(config)
-            alone = lyapunov_spectrum(config)
+            alone = lyapunov_spectra([config])[0]
             for got in (alone, result):
                 assert np.array_equal(got.exponents, exponents)
                 assert np.array_equal(got.stderrs, stderrs)
@@ -296,7 +293,7 @@ _CELL = st.tuples(
 def test_batch_composition_does_not_change_any_cell(M, cells):
     configs = [_config(r, M, 400, seed, z=z) for r, z, seed in cells]
     for config, result in zip(configs, lyapunov_spectra(configs)):
-        assert _same(result, lyapunov_spectrum(config))
+        assert _same(result, lyapunov_spectra([config])[0])
         assert result.config is config
 
 
@@ -335,12 +332,18 @@ def test_batch_edge_flush_keeps_stderrs_at_derived_period(M):
         assert np.max(np.abs(got.stderrs - want.stderrs) / want.stderrs) <= 1e-9
 
 
-def test_spectra_rejects_mixed_shapes():
+def test_spectra_take_any_mix_in_input_order():
     assert lyapunov_spectra([]) == []
-    with pytest.raises(ValueError):
-        lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 3, 200, 1)])
-    with pytest.raises(ValueError):
-        lyapunov_spectra([_config(0.6, 2, 200, 1), _config(0.6, 2, 400, 1)])
+    # three M, two n_steps and two z (periods 5 and 3), shuffled: the
+    # lockstep stacks are grouped inside, and the results come back in order
+    configs = [
+        _config(0.6, M, n, seed, z=z)
+        for M in (1, 2, 3) for n in (200, 260) for z in (1.0, 0.5) for seed in (1, 2)
+    ]
+    mixed = [configs[i] for i in np.random.default_rng(5).permutation(len(configs))]
+    for config, result in zip(mixed, lyapunov_spectra(mixed), strict=True):
+        assert result.config is config
+        assert _same(result, lyapunov_spectra([config])[0])
 
 
 # ---------------------------------------------------------------------------
