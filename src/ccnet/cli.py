@@ -39,7 +39,7 @@ from .lyapunov import (
     thouless_rhs,
     xi_upper_bound,
 )
-from .records import ResultRecord, canonical_row, emit
+from .records import ResultRecord, _write_csv, canonical_row, emit
 from .spectral import (
     _BAND_DET_TOL,
     _DET_IDENTITY_TOL,
@@ -305,10 +305,8 @@ def cmd_dos(args):
         )
     )
     if args.hist_out:
-        with open(args.hist_out, "w") as fh:
-            fh.write("bin_lo,bin_hi,count\n")
-            for lo, hi, count in zip(hist.edges[:-1], hist.edges[1:], hist.counts):
-                fh.write(f"{float(lo)!r},{float(hi)!r},{int(count)}\n")
+        bins = zip(hist.edges[:-1], hist.edges[1:], hist.counts)
+        _write_csv(args.hist_out, ["bin_lo", "bin_hi", "count"], bins)
     return rows, 0 if ok else 1
 
 
@@ -372,12 +370,9 @@ def cmd_bands(args):
         ),
     ]
     if args.table_out:
-        with open(args.table_out, "w") as fh:
-            fh.write("x,y,theta_lower,theta_upper\n")
-            for i, x in enumerate(structure.xs):
-                for j, y in enumerate(structure.ys):
-                    lo, hi = structure.eigenphases[i, j]
-                    fh.write(f"{float(x)!r},{float(y)!r},{float(lo)!r},{float(hi)!r}\n")
+        x, y = np.meshgrid(structure.xs, structure.ys, indexing="ij")
+        table = np.column_stack([x.ravel(), y.ravel(), structure.eigenphases.reshape(-1, 2)])
+        _write_csv(args.table_out, ["x", "y", "theta_lower", "theta_upper"], table)
     return rows, 0 if structure.det_defect <= _BAND_DET_TOL else 1
 
 
@@ -413,16 +408,13 @@ def cmd_dump(args) -> int:
     phases = sample_phase_field(seed, L, M)
     out = args.out or f"ccnet-{args.what}.csv"
     if args.what == "operator":
-        op = build_cylinder_operator(params, phases, L, M)
-        with open(out, "w") as fh:
-            fh.write("row,col,re,im\n")
-            for row, col, re, im in op.to_triplets():
-                fh.write(f"{int(row)},{int(col)},{float(re)!r},{float(im)!r}\n")
+        coo = build_cylinder_operator(params, phases, L, M).matrix.tocoo()
+        cells = zip(coo.row, coo.col, coo.data.real, coo.data.imag)
+        _write_csv(out, ["row", "col", "re", "im"], cells)
     else:
-        with open(out, "w") as fh:
-            fh.write("column,ring,arg\n")
-            for j, k, arg in phases.to_triples():
-                fh.write(f"{int(j)},{int(k)},{float(arg)!r}\n")
+        j, k = np.meshgrid(np.arange(-2 * L, 2 * L + 1), np.arange(2 * M), indexing="ij")
+        cells = zip(j.ravel(), k.ravel(), np.angle(phases.values).ravel())
+        _write_csv(out, ["column", "ring", "arg"], cells)
     print(f"wrote {out}")
     return 0
 
@@ -575,7 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
     decay = recorded("decay", cmd_decay, "eigenvector decay fits",
                      "workers r M L seeds", r="0.95", one="r M")
     decay.add_argument(
-        "--max-fits", type=_at_least(1), default="64", help="subsample this many eigenvectors"
+        "--max-fits", type=_at_least(1), default="64",
+        help="fit eigenvector indices 0, s, 2s, ... below the dimension N, s = max(1, N // max-fits)",
     )
 
     verify = command("verify", cmd_verify, "exact-identity suite; exit 1 on violation")

@@ -145,15 +145,6 @@ class PhaseField:
     def covers_columns(self, lo: int, hi: int) -> bool:
         return -2 * self.L <= lo and hi <= 2 * self.L
 
-    def to_triples(self) -> np.ndarray:
-        """Export as rows (column, ring, arg) for external inspection."""
-        jj, kk = np.meshgrid(
-            np.arange(-2 * self.L, 2 * self.L + 1), np.arange(2 * self.M), indexing="ij"
-        )
-        return np.column_stack(
-            [jj.ravel(), kk.ravel(), np.angle(self.values).ravel()]
-        )
-
 
 def sample_phase_field(seed: int, L: int, M: int) -> PhaseField:
     """Sample the reduced i.i.d. phase field on the window [-2L, 2L] x Z_{2M}.
@@ -280,11 +271,6 @@ class FiniteOperator:
     def unitarity_defect(self) -> float:
         gram = (self.matrix.conj().T @ self.matrix).toarray()
         return float(np.max(np.abs(gram - np.eye(self.dim))))
-
-    def to_triplets(self) -> np.ndarray:
-        """Sparse export, rows (row, col, re, im)."""
-        coo = self.matrix.tocoo()
-        return np.column_stack([coo.row, coo.col, coo.data.real, coo.data.imag])
 
 
 def _assemble(params: ModelParams, L: int, M: int, even, odd) -> FiniteOperator:

@@ -66,6 +66,16 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, ``\\r\\n`` line ends, cells by ``_format_cell``.
+
+    The package's one CSV writer: records, side tables and dumps share its dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_format_cell(value) for value in row] for row in rows)
+
+
 def _parse_cell(column: str, text: str):
     if text == "":
         return None
@@ -85,12 +95,8 @@ def emit(records, format: str, path) -> None:
     """
     records = list(records)
     if format == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for record in records:
-                for row in record.rows:
-                    writer.writerow([_format_cell(row.get(col)) for col in CSV_HEADER])
+        rows = ([row.get(col) for col in CSV_HEADER] for record in records for row in record.rows)
+        _write_csv(path, CSV_HEADER, rows)
     elif format == "json":
         with open(path, "w") as fh:
             for record in records:

@@ -228,7 +228,8 @@ def propagate(z: complex, phases: PhaseField, L: int, params: ModelParams) -> Pr
     Lyapunov engine).  The bare product loses the (s, 1/s) pairing of its
     singular values within a few layers: at r = 0.62, M = 2, z = e^{0.4i},
     phase seed 11, the log-pairing defect is 2.1e-10 at L = 3, 6.3e-8 at
-    L = 5, 3.6e-2 at L = 8 and 15.5 at L = 12 (see ROADMAP item 1).
+    L = 5, 3.6e-2 at L = 8 and 15.5 at L = 12 (see "One stabilized, scaled
+    determinant engine" in ROADMAP.md).
     """
     z = _check_z(z)
     if L < 0:

@@ -861,6 +861,57 @@ def test_dump_operator_round_trip(tmp_path):
     assert np.array_equal(dense, op.matrix.toarray())
 
 
+def test_dump_phases_round_trip(tmp_path):
+    out = tmp_path / "phases.csv"
+    argv = ["dump", "--what", "phases", "--M", "2", "--L", "1", "--seeds", "5", "--out", str(out)]
+    assert main(argv) == 0
+    from ccnet import sample_phase_field
+
+    values = sample_phase_field(5, 1, 2).values
+    rebuilt = np.zeros_like(values)
+    for line in out.read_text().splitlines()[1:]:
+        column, ring, arg = line.split(",")
+        rebuilt[int(column) + 2, int(ring)] = np.exp(1j * float(arg))
+    assert np.max(np.abs(rebuilt - values)) <= 1e-15
+
+
+# every CSV the CLI writes: (command line, file flag, header, integer columns);
+# the other columns but ``command`` and ``status`` are floats
+_CSV_FILES = {
+    "record": (["dos", "--M", "1", "--L", "1", "--moments", "2", "--bins", "4"], "--out",
+               CSV_HEADER, {"M", "L", "seed", "n_steps", "k"}),
+    "hist": (["dos", "--M", "1", "--L", "1", "--moments", "2", "--bins", "4"], "--hist-out",
+             ["bin_lo", "bin_hi", "count"], {"count"}),
+    "table": (["bands", "--nx", "3", "--ny", "2"], "--table-out",
+              ["x", "y", "theta_lower", "theta_upper"], set()),
+    "operator": (["dump", "--what", "operator", "--M", "1", "--L", "1"], "--out",
+                 ["row", "col", "re", "im"], {"row", "col"}),
+    "phases": (["dump", "--what", "phases", "--M", "1", "--L", "1"], "--out",
+               ["column", "ring", "arg"], {"column", "ring"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_CSV_FILES))
+def test_every_csv_shares_one_dialect(tmp_path, capsys, name):
+    # \r\n line ends, the documented header, bare integers, and floats
+    # written as their repr, so float() reads back the value written
+    argv, flag, header, ints = _CSV_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    main(argv + [flag, str(path)])
+    text = path.read_bytes().decode()
+    assert text.endswith("\r\n") and "\n" not in text.replace("\r\n", "")
+    lines = [line.split(",") for line in text.split("\r\n")[:-1]]
+    assert lines[0] == header and len(lines) > 1
+    for line in lines[1:]:
+        for column, cell in zip(header, line, strict=True):
+            if cell == "" or column in ("command", "status"):
+                continue
+            if column in ints:
+                assert cell == str(int(cell)), (column, cell)
+            else:
+                assert cell == repr(float(cell)), (column, cell)
+
+
 def test_workers_parallel_matches_serial(tmp_path):
     # 12 cells dealt round-robin into 3 parts: each part mixes all three M
     base = ["lyapunov", "--r", "0.6,0.7", "--M", "1,2,3", "--steps", "2000", "--seeds", "1,2"]

@@ -121,15 +121,6 @@ def test_phase_field_ring_reduction_and_bounds(lopsided):
         op.index(3, 0)
 
 
-def test_phase_field_export_triples():
-    f = sample_phase_field(5, 1, 1)
-    triples = f.to_triples()
-    assert triples.shape == (5 * 2, 3)
-    row = triples[0]
-    site = f.values[int(row[0]) + 2 * f.L, int(row[1])]
-    assert site == pytest.approx(np.exp(1j * row[2]))
-
-
 # ---------------------------------------------------------------------------
 # phase reduction
 
@@ -492,12 +483,3 @@ def test_extreme_r0_interior_cycle_length_four():
     lengths = sorted(len(c) for c, _ in _permutation_cycles(op))
     # 2LM interior quadruples plus one ring cycle of length 2M at the wall
     assert lengths == [4] * (2 * 1 * 3) + [2 * 3]
-
-
-def test_operator_triplet_export(lopsided):
-    op = build_cylinder_operator(lopsided, sample_phase_field(4, 1, 1), 1, 1)
-    trip = op.to_triplets()
-    rebuilt = np.zeros((op.dim, op.dim), dtype=complex)
-    for row, col, re, im in trip:
-        rebuilt[int(row), int(col)] = re + 1j * im
-    assert np.array_equal(rebuilt, op.matrix.toarray())
