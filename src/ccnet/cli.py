@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -147,6 +146,9 @@ def _parallel(fn, parts):
     """``fn`` of each part, one worker process per part when there are several."""
     if len(parts) <= 1:
         return [fn(part) for part in parts]
+    # deferred: importing it costs every CLI start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=len(parts)) as pool:
         return list(pool.map(fn, parts))
 

@@ -113,25 +113,30 @@ def eigendecompose(
     banded path like any other request.  Anything else, True included,
     raises ValueError.
 
-    Banded phases: U^D has half-bandwidth 2M in site order, and for each
-    centre gamma in {0, 1} rad the band matrix
+    Banded phases: every entry of U^D joins two sites of opposite parity
+    (column + ring) mod 2, so in parity order U = [[0, B], [A, 0]] and
+    U^2 = diag(BA, AB).  The unitary BA has size N/2 and half-bandwidth 2M
+    in sublattice order, and each of its phases phi gives the phases phi/2
+    and phi/2 + pi of U.  For each centre gamma in {0, 1} rad the band matrix
 
-        H_gamma = (e^{-i gamma} U + e^{i gamma} U^*)/2
+        H_gamma = (e^{-i gamma} BA + e^{i gamma} (BA)^*)/2
 
-    is Hermitian with levels cos(theta - gamma).  Its upper band storage is
+    is Hermitian with levels cos(phi - gamma).  Its upper band storage is
     filled from the sparse diagonals, without densifying, and its levels are
-    taken by ``scipy.linalg.eigvals_banded``.  Each phase theta = gamma +-
-    arccos(c) is taken from the centre where |sin(theta - gamma)| is larger
-    and kept only if cos(theta - gamma') matches a level of the other centre
-    within 1e-10, or within 1e-12 if more than N candidates match within
-    1e-10: a mirror candidate within 1e-10/|sin(theta - gamma')| rad of a
+    taken by ``scipy.linalg.eigvals_banded``.  Each phase phi = gamma +-
+    arccos(c) is taken from the centre where |sin(phi - gamma)| is larger
+    and kept only if cos(phi - gamma') matches a level of the other centre
+    within 1e-10, or within 1e-12 if more than N/2 candidates match within
+    1e-10: a mirror candidate within 1e-10/|sin(phi - gamma')| rad of a
     mirror of a true phase passes the wider match.  The centres are not
-    pi/2 apart mod pi: the spectrum's theta -> theta + pi symmetry would
+    pi/2 apart mod pi: a spectrum with the phi -> phi + pi symmetry would
     then confirm every mirror candidate.
-    The phases are certified only if every level has |c| <= 1 + 1e-8,
-    exactly N phases are kept and |sum e^{i theta} - tr U| <= 1e-9 N; the
-    result then carries ``solver="banded"``, eigenvalues e^{i theta} and, as
-    ``max_residual``, the worst cross-centre level mismatch.
+    The phases are certified only if every entry of U^D joins opposite
+    parities, every level has |c| <= 1 + 1e-8, exactly N/2 phases are kept
+    and |sum e^{i phi} - tr BA| <= 1e-9 N/2; the result then carries
+    ``solver="banded"``, eigenvalues e^{i theta} and, as ``max_residual``,
+    the worst cross-centre level mismatch.  The same band solve of U itself
+    (``_banded_eigenphases(op.matrix)``) is the test oracle of the split.
 
     Banded vectors (``want_vectors`` a sequence): for each requested phase
     theta, sigma - U with sigma = e^{i theta} (1 + 1e-13) is factored once in
@@ -147,12 +152,13 @@ def eigendecompose(
     not attempted.  ``max_residual`` becomes the worst of the level mismatch
     and the vector residuals.
 
-    Any failure of the banded path (uncertified phases, as from the mirror
-    pairs theta, 2 gamma - theta of the L = 0 ring shift; an unconverged or
-    ungated vector) is logged at INFO on the ``ccnet.spectral`` logger, and
-    one dense complex Schur factorization answers the whole request
-    (``solver="schur"``).  U^D is normal, so its Schur form is diagonal and
-    the unitary Schur basis holds its eigenvectors, repeated phases included.
+    Any failure of the banded path (an entry joining equal parities;
+    uncertified phases, as from the mirror pairs phi, 2 gamma - phi of the
+    L = 0 ring shift at M >= 3; an unconverged or ungated vector) is logged
+    at INFO on the ``ccnet.spectral`` logger, and one dense complex Schur
+    factorization answers the whole request (``solver="schur"``).  U^D is
+    normal, so its Schur form is diagonal and the unitary Schur basis holds
+    its eigenvectors, repeated phases included.
     The dense solve is capped at N <= DESK_SCALE_CAP and raises
     DeskScaleError beyond.  Each eigenvalue is the Rayleigh quotient v^* U v;
     every pair is gated on its residual ||U v - lambda v|| and on
@@ -168,7 +174,7 @@ def eigendecompose(
         if indices.ndim != 1 or not np.all((indices >= 0) & (indices < n)):
             raise ValueError(f"eigenvector indices must be a sequence in [0, {n})")
     try:
-        phases, mismatch = _banded_eigenphases(op.matrix)
+        phases, mismatch = _sublattice_eigenphases(op)
         vectors = None
         if indices is not None:
             vectors, worst = _inverse_iteration(op.matrix, phases, indices)
@@ -260,6 +266,27 @@ def _banded_eigenphases(u) -> tuple[np.ndarray, float]:
     if not trace_gap <= _TRACE_TOL * n:
         raise _NotCertified(f"eigenvalue sum misses the trace by {trace_gap:.3e}")
     return phases, mismatch
+
+
+def _sublattice_eigenphases(op: FiniteOperator) -> tuple[np.ndarray, float]:
+    """Certified sorted eigenphases of U^D from its block BA, and the worst level mismatch.
+
+    Site i = (column, ring) has parity (i // 2M + i) % 2, since i and the
+    ring i % 2M share parity, and index i // 2 on its sublattice.
+    """
+    from scipy import sparse
+
+    coo = op.matrix.tocoo()
+    parity = (coo.row // (2 * op.M) + coo.row) % 2
+    if np.any(parity == (coo.col // (2 * op.M) + coo.col) % 2):
+        raise _NotCertified("an entry joins two sites of equal parity")
+    shape = (op.dim // 2, op.dim // 2)
+    a, b = (
+        sparse.csr_matrix((coo.data[side], (coo.row[side] // 2, coo.col[side] // 2)), shape)
+        for side in (parity == 1, parity == 0)
+    )
+    phases, mismatch = _banded_eigenphases(b @ a)
+    return np.r_[phases / 2, phases / 2 + np.pi], mismatch
 
 
 def _inverse_iteration(u, phases: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, float]:

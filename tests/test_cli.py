@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import contextlib
 import inspect
 import io
@@ -85,14 +86,16 @@ def test_emit_rejects_unknown_format(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # the operator builder and the eigensolver import scipy on first use; a
+    # the operator builder and the eigensolver import scipy on first use, and
+    # a run split over several workers imports the process pool; a
     # module-level import would add its load time and memory to every
     # command's start-up, including the cocycle commands that never solve
     src = str(Path(ccnet.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, ccnet.cli; ccnet.cli.build_parser(); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m in ('concurrent.futures.process', 'multiprocessing')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
@@ -669,10 +672,10 @@ def test_decay_runs_past_the_schur_cap(tmp_path):
 
 
 def test_schur_past_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    # the L = 0 ring shift has mirror pairs, so its phases need the Schur form
+    # the L = 0, M = 3 ring shift has mirror pairs, so its phases need the Schur form
     monkeypatch.setattr(spectral, "DESK_SCALE_CAP", 3)
     with pytest.raises(SystemExit) as exc:
-        main(["dos", "--M", "2", "--L", "0", "--out", str(tmp_path / "dos.csv")])
+        main(["dos", "--M", "3", "--L", "0", "--out", str(tmp_path / "dos.csv")])
     assert exc.value.code == 2
     assert "exceeds desk-scale cap 3" in capsys.readouterr().err
     assert not (tmp_path / "dos.csv").exists()
@@ -680,8 +683,8 @@ def test_schur_past_the_cap_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("M", [1, 2, 3])
 def test_ring_shift_runs_end_to_end_through_the_fallback(tmp_path, caplog, M):
-    # L = 0 is the ring shift: from M = 2 on its mirror pairs are not
-    # certified on the banded path, and the Schur form answers every solve
+    # L = 0 is the ring shift: from M = 3 on the mirror pairs of its block BA
+    # are not certified on the banded path, and the Schur form answers every solve
     det, decay = tmp_path / "det.csv", tmp_path / "decay.csv"
     with caplog.at_level("INFO", logger="ccnet.spectral"):
         assert main(["det-check", "--M", str(M), "--L", "0", "--out", str(det)]) == 0
@@ -693,7 +696,7 @@ def test_ring_shift_runs_end_to_end_through_the_fallback(tmp_path, caplog, M):
     assert {row["status"] for row in rows} == {"compact support"}
     # one solve per seed: det-check's default seed and decay's two
     fallbacks = [rec for rec in caplog.records if "using the Schur form" in rec.message]
-    assert len(fallbacks) == (0 if M == 1 else 3)
+    assert len(fallbacks) == (0 if M < 3 else 3)
 
 
 def test_dos_and_decay_echo_the_flags_that_shape_their_rows(tmp_path):
@@ -926,13 +929,13 @@ def test_workers_split_one_m_over_the_pool(tmp_path, monkeypatch):
     # seed and one z, where (r, M) order would give each part a single M
     parts = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def map(self, fn, *iterables, **kwargs):
             batches = list(iterables[0])
             parts.append([[config.M for config in batch] for batch in batches])
             return super().map(fn, batches, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for M, seeds, dealt in [
         ("1", "1,2", [[1, 1], [1, 1]]),
         ("1,2", "1", [[1, 2], [1, 2]]),

@@ -14,6 +14,7 @@ from ccnet import (
     band_grid,
     band_symbol,
     build_cylinder_operator,
+    build_full_cylinder_operator,
     build_parity_operators,
     determinant_identity_residual,
     dos_moments,
@@ -21,6 +22,7 @@ from ccnet import (
     eigenvector_decay_fit,
     krylov_rank,
     ks_statistic,
+    sample_node_phases,
     sample_phase_field,
 )
 from ccnet import spectral
@@ -109,10 +111,10 @@ def test_eigendecompose_matches_eig_oracle(r, M, L):
     got = _phases_from_cut(values_only.eigenvalues, oracle)
     assert np.max(np.abs(got - _phases_from_cut(oracle, oracle))) <= 1e-12
     assert values_only.max_residual <= 1e-10
-    # L = 0 is the ring shift, whose 2M-th roots of unity come in mirror
-    # pairs +-theta; at M = 1 the pair {0, pi} has no lever at centre 0
-    # and is taken once, from centre 1
-    mirrored = L == 0 and M > 1
+    # L = 0 is the ring shift; its block BA has the M-th roots of unity,
+    # which come in mirror pairs +-phi once M > 2; at M = 2 the pair
+    # {0, pi} has no lever at centre 0 and is taken once, from centre 1
+    mirrored = L == 0 and M > 2
     assert values_only.solver == ("schur" if mirrored else "banded")
 
 
@@ -128,6 +130,73 @@ def _normal_operator(thetas, seed, matrix_scale=1.0):
     )
 
 
+def _site_parity(L, M):
+    """(column + ring) mod 2 of every site of the (L, M) window, in flat order."""
+    column, ring = np.divmod(np.arange(2 * M * (4 * L + 1)), 2 * M)
+    return (column - 2 * L + ring) % 2
+
+
+def _bipartite_operator(block_phases, seed):
+    """A FiniteOperator (L = 2, M = 1) that joins only sites of opposite parity.
+
+    In sublattice order it is [[0, B], [A, 0]] with A a random unitary and
+    BA = Q diag(e^{i phi}) Q^*, so its phases are phi/2 and phi/2 + pi for
+    each phi in ``block_phases``.
+    """
+    rng = np.random.default_rng(seed)
+    half = 4 * 2 + 1
+    assert len(block_phases) == half
+    q, a = (
+        np.linalg.qr(rng.standard_normal((half, half)) + 1j * rng.standard_normal((half, half)))[0]
+        for _ in range(2)
+    )
+    ba = (q * np.exp(1j * np.asarray(block_phases))) @ q.conj().T
+    dense = np.zeros((2 * half, 2 * half), dtype=complex)
+    parity = _site_parity(2, 1)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    dense[np.ix_(odd, even)] = a
+    dense[np.ix_(even, odd)] = ba @ a.conj().T
+    return FiniteOperator(
+        L=2, M=1, params=ModelParams.from_r(0.6), matrix=sparse.csr_matrix(dense)
+    )
+
+
+def _lifted(block_phases):
+    """The phases phi/2 and phi/2 + pi of a bipartite operator with block phases phi."""
+    half = np.asarray(block_phases) / 2
+    return np.r_[half, half + np.pi]
+
+
+@pytest.mark.parametrize("L", range(4))
+@pytest.mark.parametrize("M", range(1, 5))
+@pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
+def test_every_entry_joins_opposite_parities(r, M, L):
+    # the premise of the sublattice split: U = [[0, B], [A, 0]] in parity order
+    params = ModelParams.from_r(r)
+    for op in (
+        build_cylinder_operator(params, sample_phase_field(5, L, M), L, M),
+        build_full_cylinder_operator(params, sample_node_phases(5, L, M), L, M),
+    ):
+        coo = op.matrix.tocoo()
+        parity = _site_parity(L, M)
+        assert coo.nnz > 0 and np.all(parity[coo.row] != parity[coo.col])
+
+
+def test_equal_parity_entry_takes_the_schur_form(caplog):
+    op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(2, 2, 2), 2, 2)
+    want = eigendecompose(op).eigenvalues
+    dense = op.matrix.toarray()
+    dense[0, 0] = 1e-14  # site 0 and itself: one entry of equal parity
+    joined = FiniteOperator(L=2, M=2, params=op.params, matrix=sparse.csr_matrix(dense))
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        spec = eigendecompose(joined, want_vectors=False)
+    assert spec.solver == "schur"
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO and "equal parity" in record.message
+    got = _phases_from_cut(spec.eigenvalues, want)
+    assert np.max(np.abs(got - _phases_from_cut(want, want))) <= 1e-12
+
+
 def _assert_exact_spectrum(op, thetas):
     expected = np.exp(1j * np.asarray(thetas))
     for want_vectors in (False, range(op.dim)):
@@ -137,15 +206,17 @@ def _assert_exact_spectrum(op, thetas):
         assert spec.max_residual <= 1e-10
 
 
-def test_eigendecompose_separates_mirror_pairs():
-    # theta and -theta share one level of the centre-0 band matrix, so the
+def test_eigendecompose_separates_mirror_pairs(caplog):
+    # phi and -phi of BA share one level of the centre-0 band matrix, so the
     # banded path cannot certify them and the Schur form answers
     rng = np.random.default_rng(41)
-    half = 2 * np.pi * rng.random(9)
-    thetas = np.r_[half, -half]
-    op = _normal_operator(thetas, 1)
-    assert eigendecompose(op).solver == "schur"
-    _assert_exact_spectrum(op, thetas)
+    half = 2 * np.pi * rng.random(4)
+    block = np.r_[half, -half, 0.5]
+    op = _bipartite_operator(block, 1)
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        assert eigendecompose(op).solver == "schur"
+    assert "phases confirmed, expected 9" in caplog.text
+    _assert_exact_spectrum(op, _lifted(block))
 
 
 def test_eigendecompose_repeated_eigenvalue():
@@ -190,6 +261,25 @@ def test_banded_eigenphases_match_schur(r, M, L, seed):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    r=st.floats(0.0, 1.0),
+    M=st.integers(1, 5),
+    L=st.integers(1, 25),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the subnormal r of the test above, on both band paths
+@example(r=2.2250738585e-313, M=1, L=1, seed=0)
+@example(r=2.2250738585e-313, M=1, L=1, seed=868754)
+def test_sublattice_split_matches_full_band_solve(r, M, L, seed):
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
+    split, _ = spectral._sublattice_eigenphases(op)
+    full, _ = spectral._banded_eigenphases(op.matrix)
+    got = _phases_from_cut(np.exp(1j * split), np.exp(1j * full))
+    want = _phases_from_cut(np.exp(1j * full), np.exp(1j * full))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "r, M, L, fits",
     [
@@ -214,14 +304,15 @@ def test_benchmark_operators_take_banded_path(r, M, L, fits, caplog):
 
 
 def test_fallback_to_schur_is_logged(caplog):
-    # the L = 0, M = 2 ring shift has the mirror pairs +-pi/2 at centre 0
-    op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 2), 0, 2)
+    # the block BA of the L = 0, M = 3 ring shift has the mirror pair
+    # +-2pi/3 at centre 0
+    op = build_cylinder_operator(ModelParams.from_r(0.6), sample_phase_field(1, 0, 3), 0, 3)
     with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
         spec = eigendecompose(op, want_vectors=False)
     assert spec.solver == "schur"
-    assert np.allclose(spec.eigenphases, [0, np.pi / 2, np.pi, 3 * np.pi / 2], atol=1e-10)
+    assert np.allclose(spec.eigenphases, np.arange(6) * np.pi / 3, atol=1e-10)
     (record,) = caplog.records
-    assert record.levelno == logging.INFO and "6 phases confirmed, expected 4" in record.message
+    assert record.levelno == logging.INFO and "4 phases confirmed, expected 3" in record.message
 
 
 @pytest.mark.parametrize(
@@ -245,10 +336,36 @@ def test_over_count_is_retried_at_the_tight_match(seed, confirmed, monkeypatch, 
     got = _phases_from_cut(banded.eigenvalues, schur.eigenvalues)
     want = _phases_from_cut(schur.eigenvalues, schur.eigenvalues)
     assert np.max(np.abs(got - want)) <= 1e-12
-    # without the retry these operators fall back to the Schur form
+    # these mirror candidates arise in the band solve of U, the oracle of the
+    # sublattice split; without the retry it does not certify them
     monkeypatch.setattr(spectral, "_LEVEL_MATCH_RETRY", spectral._LEVEL_MATCH)
     with pytest.raises(spectral._NotCertified, match=f"{confirmed} phases confirmed"):
         spectral._banded_eigenphases(op.matrix)
+
+
+@pytest.mark.parametrize(
+    "offset, confirmed",
+    [
+        # each phase's mirror candidate about centre 1 lies 9.8e-11 rad from
+        # the other phase and matches its centre-0 level to 2e-11 and 8e-11
+        (9.8e-11, 11),
+        # at 2e-10 rad only the first mirror candidate matches (4e-11)
+        (2e-10, 10),
+    ],
+)
+def test_split_over_count_is_retried_at_the_tight_match(offset, confirmed, monkeypatch, caplog):
+    # two phases of BA nearly mirror about centre 1, as in seed 5104 above
+    block = np.r_[2.2, 2.0 - 2.2 + offset, 2 * np.pi * np.random.default_rng(5).random(7)]
+    op = _bipartite_operator(block, 5)
+    with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
+        banded = eigendecompose(op, want_vectors=False)
+    assert banded.solver == "banded" and not caplog.records
+    assert banded.max_residual <= 1e-13
+    _assert_exact_spectrum(op, _lifted(block))
+    # without the retry the split does not certify the operator
+    monkeypatch.setattr(spectral, "_LEVEL_MATCH_RETRY", spectral._LEVEL_MATCH)
+    with pytest.raises(spectral._NotCertified, match=f"{confirmed} phases confirmed"):
+        spectral._sublattice_eigenphases(op)
 
 
 def _aligned_gaps(got: np.ndarray, want: np.ndarray) -> np.ndarray:
@@ -262,14 +379,23 @@ def _decay_statuses(spec, indices):
 
 
 def _dense_shifted_vectors(dense, shifts):
-    """One dense solve of (sigma - U) x = b per shift sigma, from a fixed start b.
+    """Two dense solves of (sigma - U) x = b per shift sigma: from a fixed start b, then from x.
 
-    Each shift is a computed eigenvalue, so the solve returns its eigenvector
-    up to rounding: the unit columns x and their Rayleigh quotients x* U x.
+    Each shift is a computed eigenvalue, so the first solve returns its
+    eigenvector up to a tail that follows the last bits of the shift; the
+    second solve shrinks that tail to rounding.  Returns the unit columns x
+    and their Rayleigh quotients x* U x.
     """
+    import scipy.linalg
+
     n = len(dense)
     b = np.random.default_rng(0).standard_normal(n)
-    x = np.column_stack([np.linalg.solve(sigma * np.eye(n) - dense, b) for sigma in shifts])
+    columns = []
+    for sigma in shifts:
+        lu = scipy.linalg.lu_factor(sigma * np.eye(n) - dense)
+        x = scipy.linalg.lu_solve(lu, b)
+        columns.append(scipy.linalg.lu_solve(lu, x / np.linalg.norm(x)))
+    x = np.column_stack(columns)
     x /= np.linalg.norm(x, axis=0)
     return x, np.einsum("ij,ij->j", x.conj(), dense @ x)
 
@@ -284,6 +410,9 @@ def _dense_shifted_vectors(dense, shifts):
 )
 # phase 158 has a neighbour 1.48e-5 away (see the close-pair test below)
 @example(r=math.sqrt(0.5), M=2, L=22, seed=7636235, picks=[0.4453125])
+# one dense solve at the banded eigenvalue lands 3.1e-13 from the Schur
+# vector, enough to read "not localized"; the banded vector is 2.1e-15 away
+@example(r=0.95, M=1, L=21, seed=1520, picks=[0.0])
 def test_banded_vectors_match_dense_solves(r, M, L, seed, picks):
     op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
     indices = [int(p * op.dim) for p in picks]
@@ -343,11 +472,13 @@ def test_repeated_phase_vectors_come_from_the_schur_form(caplog):
     # one shift cannot tell the five copies of 1.234 apart, and inverse
     # iteration would return the same vector for each
     rng = np.random.default_rng(43)
-    thetas = np.r_[np.full(5, 1.234), 2 * np.pi * rng.random(13)]
-    op = _normal_operator(thetas, 2)
-    assert eigendecompose(op, want_vectors=False).solver == "banded"
+    op = _bipartite_operator(np.r_[np.full(5, 2 * 1.234), 2 * np.pi * rng.random(4)], 2)
+    banded = eigendecompose(op, want_vectors=False)
+    assert banded.solver == "banded"
+    first = int(np.searchsorted(banded.eigenphases, 1.234 - 1e-9))
+    assert np.allclose(banded.eigenphases[first : first + 5], 1.234, atol=1e-12)
     with caplog.at_level(logging.INFO, logger="ccnet.spectral"):
-        spec = eigendecompose(op, want_vectors=[2, 3])
+        spec = eigendecompose(op, want_vectors=[first + 2, first + 3])
     assert spec.solver == "schur" and "within 1e-13 of another" in caplog.text
     vecs = spec.eigenvectors
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(2))) <= 1e-12
