@@ -43,15 +43,18 @@ from .spectral import (
     _BAND_DET_TOL,
     _DET_IDENTITY_TOL,
     DeskScaleError,
+    _decay_fits,
     band_grid,
     determinant_identity_residual,
     dos_moments,
     eigendecompose,
-    eigenvector_decay_fit,
 )
 
 DEFAULT_R_GRID = [0.6, 0.66, math.sqrt(0.5), math.sqrt(1 - 0.66**2), 0.8]
 _SEED_MAX = 2**63 - 1  # the site-phase hash reads a seed as a signed 64-bit integer
+# every layer factor has |det| = 1, so the exponents sum to 0 up to rounding;
+# a larger |sum| means the chain lost the directions a step contracts
+_EXPONENT_SUM_TOL = 1e-9
 
 
 def _typed(convert, ok, domain: str, shape: str = "scalar"):
@@ -173,6 +176,8 @@ def _lyapunov_rows(z_pair, result):
         result.symmetry_defects() <= 3.0 * result.symmetry_sigmas() + 1e-12
     ):
         failures.append("symmetry")
+    if not abs(result.exponents.sum()) <= _EXPONENT_SUM_TOL:
+        failures.append("precision")
     base = dict(
         command="lyapunov",
         r=params.r,
@@ -386,8 +391,7 @@ def cmd_decay(args):
         op = build_cylinder_operator(params, phases, L, M)
         indices = range(0, op.dim, max(1, op.dim // args.max_fits))
         spectrum = eigendecompose(op, want_vectors=indices)
-        for index in indices:
-            fit = eigenvector_decay_fit(spectrum, index)
+        for index, fit in zip(indices, _decay_fits(spectrum, indices)):
             rows.append(
                 canonical_row(
                     command="decay",

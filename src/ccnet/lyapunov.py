@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import ModelParams
-from .transfer import _apply_layer, _check_z, _split_slots, layer_matrices
+from .transfer import _check_z, _split_slots, _step_entries, _step_pattern, layer_matrices
 
 __all__ = [
     "CocycleRunConfig",
@@ -36,9 +36,9 @@ __all__ = [
 
 BATCH_COUNT = 20  # batch means per estimate
 _COND_CAP = 1e8  # largest frame condition number a derived period allows
-# chain-steps of phases drawn per chunk, shared by the chains of a batch so
-# that the phase arrays stay small however many chains step together
-_CHUNK_CHAIN_STEPS = 512
+# step terms formed per chunk (8M per chain-step), shared by the chains of a
+# batch so that the chunk's arrays stay small however many chains step together
+_CHUNK_TERMS = 16384
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,19 @@ def _qr_positive(frames: np.ndarray):
     return q, np.log(absd)
 
 
-def _phase_stream(rngs, M: int, steps: int):
-    """Yield each step's (p_r, p_m, p_l) slot phases, stacked over the chains.
+def _entry_stream(rngs, m1, m2, steps: int):
+    """Yield each step's entries of A_z(p) (``_step_entries``), stacked over the chains.
 
-    Phases are drawn in chunks of at most ``_CHUNK_CHAIN_STEPS`` chain-steps;
-    each generator's stream does not depend on the chunking.
+    Phases are drawn, and the entries formed, in chunks of at most
+    ``_CHUNK_TERMS`` terms; each generator's stream does not depend on the
+    chunking.
     """
-    chunk = max(1, _CHUNK_CHAIN_STEPS // len(rngs))
+    M = m1.shape[-1] // 2
+    chunk = max(1, _CHUNK_TERMS // (len(rngs) * 8 * M))
     for done in range(0, steps, chunk):
         block = min(chunk, steps - done)
         uni = np.stack([rng.random((block, 4 * M)) for rng in rngs], axis=1)
-        yield from zip(*_split_slots(np.exp(2j * np.pi * uni)))
+        yield from _step_entries(m1, m2, *_split_slots(np.exp(2j * np.pi * uni)))
 
 
 def lyapunov_spectra(configs) -> list[LyapunovResult]:
@@ -183,7 +185,10 @@ def _lockstep(configs) -> list[LyapunovResult]:
     """Estimate the spectra of chains of equal M and n_steps, stepped as one stack.
 
     r, t, z, seed and the period are per chain.  Phases are drawn i.i.d.
-    uniform per layer from each chain's own seeded generator.  The steps run
+    uniform per layer from each chain's own seeded generator, and each
+    chain's step A_z(p) is formed from its entries (``_entry_stream``), so a
+    step is one scatter into the stack of step matrices and one batched
+    product with the frames.  The steps run
     as segments: the burn-in, whose logs are dropped, then ``BATCH_COUNT``
     batches, batch b holding the kept steps from ceil(b n / nb) up to
     ceil((b+1) n / nb) exclusive.  Within a segment a chain is re-orthonormalized every
@@ -204,18 +209,27 @@ def _lockstep(configs) -> list[LyapunovResult]:
     m2 = np.stack([b for _, b in layers])
     periods = np.array([c.effective_reorth_period for c in configs])
     frames = np.repeat(np.eye(two_m, dtype=complex)[None], B, axis=0)
+    # each step's matrices are scattered into one stack whose zeros never change
+    steps = np.zeros((B, two_m, two_m), dtype=complex)
+    flat_steps = steps.reshape(-1)
+    stored = np.arange(B)[:, None] * two_m * two_m + _step_pattern(M)[3]
     batch_sums = np.zeros((B, nb, two_m))
     total = np.zeros((B, two_m))
     # batch b holds kept steps edges[b] .. edges[b+1] - 1, edges[b] = ceil(b n / nb)
     edges = [-(-b * n // nb) for b in range(nb + 1)]
     sizes = np.diff(edges)
-    phases = _phase_stream(rngs, M, burn + n)
+    entries = _entry_stream(rngs, m1, m2, burn + n)
     everyone = np.arange(B)
+    # before a segment's last step, the chains due at step j repeat with the
+    # periods' least common multiple
+    cycle = min(math.lcm(*periods.tolist()), max(burn, *sizes.tolist()) + 1)
+    due_at = [np.flatnonzero(j % periods == 0) for j in range(cycle)]
     # segment -1 is the burn-in, whose logs are dropped
     for batch, length in enumerate([burn, *sizes.tolist()], start=-1):
         for j in range(1, length + 1):
-            frames = _apply_layer(m1, m2, *next(phases), frames)
-            due = everyone if j == length else np.flatnonzero(j % periods == 0)
+            flat_steps[stored] = next(entries)
+            frames = steps @ frames
+            due = everyone if j == length else due_at[j % cycle]
             if due.size == B:
                 frames, logs = _qr_positive(frames)
             elif due.size:

@@ -10,6 +10,12 @@ and M2(z) (cyclic pairs (2k+1, 2k+2)), and one double column advances by
 
 an element of the group U_M(1,1) of the form J = diag(1,-1,1,-1,...).
 
+A_z(p) has 4 nonzeros per row, and for M >= 2 each is one product
+p_l[i] m2[i,k] p_m[k] m1[k,j] p_r[j].  ``_step_entries`` writes that formula
+once, over any leading axes; ``cocycle_step`` and the Lyapunov engine
+scatter its entries into the matrix.  Window propagators and eigenvector
+reconstruction step through the three factors (``_apply_layer``).
+
 Wherever a formula needs the "inverse slot" of z we use exactly 1/z (not
 conj(z)); on the unit circle the two agree, and off the circle 1/z is the
 choice forced by the wall-operator algebra (W_z^2 = 1) and by the
@@ -182,16 +188,70 @@ def _apply_layer(m1, m2, p_r, p_m, p_l, frame: np.ndarray) -> np.ndarray:
     diagonals (..., 2M) and frame (..., 2M, k).  The operand order is fixed:
     numpy's complex multiply is not bitwise commutative, and every caller
     relies on this exact rounding.
+
+    Only ``propagate`` and ``reconstruct_columns`` step this way; the
+    Lyapunov engine and ``cocycle_step`` form A_z(p) from ``_step_entries``.
+    For a window at M = 2 (one BLAS thread, 2-core x86 VM), a step formed one
+    layer at a time is slower than this kernel, 8.7 against 7.8 us, and one
+    formed for the whole window at once is faster, 2.6 us.  The window form
+    is left to the stabilized determinant engine (ROADMAP item 3), whose
+    stepping the Lyapunov engine is to share.
     """
     return p_l[..., :, None] * (m2 @ (p_m[..., :, None] * (m1 @ (p_r[..., :, None] * frame))))
 
 
+_STEP_PATTERNS: dict[int, tuple] = {}
+
+
+def _step_pattern(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The terms (i, k, j) of A_z(p) and the flat indices i 2M + j of its entries.
+
+    Entry (i, j) of D(p_l) M2 D(p_m) M1 D(p_r) is the sum over k of
+    p_l[i] m2[i, k] p_m[k] m1[k, j] p_r[j]; M2 joins i to the two rings k of
+    its shifted pair and M1 joins k to the two rings j of its pair, so a row
+    has 4 terms.  For M >= 2 they fall on 4 distinct columns, and each of
+    the 8M entries is one term.  For M = 1 both pairings are (0, 1): each of
+    the 4 entries is two terms, adjacent in the term order.  Cached per M,
+    read-only.
+    """
+    if M not in _STEP_PATTERNS:
+        mask1 = _ring_pairs(1, 1, 1, 1, M, shifted=False) != 0
+        mask2 = _ring_pairs(1, 1, 1, 1, M, shifted=True) != 0
+        i, k, j = np.nonzero(mask2[:, :, None] & mask1[None, :, :])
+        order = np.argsort(i * 2 * M + j, kind="stable")
+        pattern = (i[order], k[order], j[order], np.unique(i * 2 * M + j))
+        for part in pattern:
+            part.flags.writeable = False  # shared by every caller
+        _STEP_PATTERNS[M] = pattern
+    return _STEP_PATTERNS[M]
+
+
+def _step_entries(m1, m2, p_r, p_m, p_l) -> np.ndarray:
+    """The stored entries of A_z(p) = D(p_l) M2(z) D(p_m) M1(z) D(p_r), in flat order.
+
+    Leading axes broadcast: m1, m2 (..., 2M, 2M) and the diagonals
+    (..., 2M) give (..., E) with E = 8M (4 for M = 1), the entries at the
+    flat indices of ``_step_pattern``.  Each term is the phase product
+    p_l[i] p_m[k] p_r[j] times the constant m2[i, k] m1[k, j], in that
+    operand order, which every caller shares bitwise.
+    """
+    i, k, j, flat = _step_pattern(p_r.shape[-1] // 2)
+    # take, unlike fancy indexing, lays the terms out last-axis-fastest, so a
+    # step's entries are contiguous
+    phases = p_l.take(i, axis=-1) * p_m.take(k, axis=-1) * p_r.take(j, axis=-1)
+    terms = phases * (m2[..., i, k] * m1[..., k, j])
+    if terms.shape[-1] > flat.size:  # M = 1: two terms per entry
+        terms = terms[..., 0::2] + terms[..., 1::2]
+    return terms
+
+
 def cocycle_step(z: complex, layer: LayerPhases, params: ModelParams) -> TransferMatrix:
-    """One generator A_z(p) = D(p_l) M2(z) D(p_m) M1(z) D(p_r)."""
+    """One generator A_z(p) = D(p_l) M2(z) D(p_m) M1(z) D(p_r), formed from its entries."""
+    two_m = 2 * layer.M
     m1, m2 = layer_matrices(z, layer.M, params)
-    eye = np.eye(2 * layer.M, dtype=complex)
-    a = _apply_layer(m1, m2, *_split_slots(layer.phases), eye)
-    return TransferMatrix(matrix=a, z=complex(z), M=layer.M)
+    a = np.zeros(two_m * two_m, dtype=complex)
+    a[_step_pattern(layer.M)[3]] = _step_entries(m1, m2, *_split_slots(layer.phases))
+    return TransferMatrix(matrix=a.reshape(two_m, two_m), z=complex(z), M=layer.M)
 
 
 def _slot_layers(phases: PhaseField, j_lo: int, j_hi: int) -> np.ndarray:

@@ -474,6 +474,20 @@ def test_lyapunov_nan_exponents_fail_the_mean_law(tmp_path, z):
     assert all("mean-law" in row["status"] for row in rows)
 
 
+@pytest.mark.parametrize("z", ["1e4,0", "1e8,0"])
+def test_lyapunov_lost_directions_report_precision(tmp_path, z):
+    # past |z| ~ 1e4 one step's condition bound passes 1/eps: the chain loses
+    # the directions a step contracts and the exponents no longer sum to 0
+    # (-1.3e-5 at 1e4), while the mean of the top M still meets its law
+    out = tmp_path / "ly.csv"
+    argv = ["lyapunov", "--M", "2", "--steps", "400", "--r", "0.6", "--z", z, "--seeds", "1"]
+    assert main(argv + ["--out", str(out)]) == 1
+    rows = read_records(out, "csv")
+    assert all(row["status"].split(";")[-1] == "precision" for row in rows)
+    assert not any("mean-law" in row["status"] for row in rows)
+    assert abs(sum(row["lambda_k"] for row in rows if row["k"] > 0)) > 1e-9
+
+
 def test_det_check_nan_residual_fails(tmp_path, monkeypatch):
     # max(worst, nan) kept the old worst, so nan-only misses exited 0
     def nan_residual(z, *args, **kwargs):

@@ -19,7 +19,7 @@ from ccnet import (
 )
 from ccnet import lyapunov
 from ccnet.lyapunov import BATCH_COUNT, _COND_CAP, _qr_positive, _step_condition
-from ccnet.transfer import _apply_layer, _split_slots, layer_matrices
+from ccnet.transfer import layer_matrices
 
 HALF_LOG_2 = 0.5 * math.log(2.0)  # mean exponent at the self-dual point
 
@@ -27,14 +27,13 @@ HALF_LOG_2 = 0.5 * math.log(2.0)  # mean exponent at the self-dual point
 def _reference_spectrum(config):
     """The single-chain, per-step loop the batched engine replaced (test oracle).
 
-    One chain, one ``_apply_layer`` and one unstacked QR per due step (and at
-    every batch edge), phases drawn 1024 steps at a time; returns
-    (exponents, stderrs) as the engine sorts them.
+    One chain, one ``cocycle_step`` matrix times the frame and one unstacked
+    QR per due step (and at every batch edge), phases drawn 1024 steps at a
+    time; returns (exponents, stderrs) as the engine sorts them.
     """
     M = config.M
     two_m = 2 * M
     rng = np.random.default_rng(config.seed)
-    m1, m2 = layer_matrices(config.z, M, config.params)
     frame = np.eye(two_m, dtype=complex)
 
     n = config.n_steps
@@ -50,10 +49,10 @@ def _reference_spectrum(config):
     done = 0
     while done < burn + n:
         block = min(1024, burn + n - done)
-        uni = rng.random((block, 4 * M))
-        p_r, p_m, p_l = _split_slots(np.exp(2j * np.pi * uni))
+        slots = np.exp(2j * np.pi * rng.random((block, 4 * M)))
         for i in range(block):
-            frame = _apply_layer(m1, m2, p_r[i], p_m[i], p_l[i], frame)
+            step_matrix = cocycle_step(config.z, LayerPhases(M, slots[i]), config.params).matrix
+            frame = step_matrix @ frame
             step = done + i
             pending += 1
             if step >= burn:

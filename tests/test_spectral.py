@@ -750,6 +750,55 @@ def test_decay_fit_window_too_short(lopsided):
     assert fit.status in ("window too short", "compact support")
 
 
+def _polyfit_decay_fit(result, index):
+    """The per-vector ``np.polyfit`` fit the one-pass fit replaced (test oracle)."""
+    column = np.flatnonzero(result.vector_indices == index)[0]
+    L, M = result.L, result.M
+    norms = np.linalg.norm(result.eigenvectors[:, column].reshape(4 * L + 1, 2 * M), axis=1)
+    phase = float(result.eigenphases[index])
+    peak = int(np.argmax(norms))
+    above = norms > spectral._DECAY_FLOOR * norms[peak]
+    if np.count_nonzero(above) <= 2:
+        return spectral.DecayFit(status="compact support", eigenphase=phase)
+    dist = np.abs(np.arange(4 * L + 1) - peak)
+    mask = (dist >= max(2, L // 4)) & above
+    if np.count_nonzero(mask) < 4:
+        return spectral.DecayFit(status="window too short", eigenphase=phase)
+    xs = dist[mask].astype(float)
+    ys = np.log(norms[mask])
+    slope, intercept = np.polyfit(xs, ys, 1)
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((ys - fitted) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    if r2 < spectral._DECAY_MIN_R_SQUARED:
+        return spectral.DecayFit(status="not localized", eigenphase=phase, r_squared=r2)
+    return spectral.DecayFit(status="ok", eigenphase=phase, rate=float(-slope), r_squared=r2)
+
+
+@pytest.mark.parametrize(
+    "r, M, L, seed",
+    # compact support, window too short, then ok and not localized
+    [(0.0, 2, 3, 11), (0.6, 2, 1, 4), (0.6, 2, 12, 5), (0.95, 2, 25, 2), (0.95, 1, 21, 1520),
+     (0.8, 3, 10, 7)],
+)
+def test_one_pass_decay_fits_match_the_polyfit_loop(r, M, L, seed):
+    # every status of the CLI's fit pass is the per-vector oracle's, and every
+    # rate and R^2 agrees to 1e-13 of their size
+    op = build_cylinder_operator(ModelParams.from_r(r), sample_phase_field(seed, L, M), L, M)
+    indices = range(0, op.dim, max(1, op.dim // 40))
+    spec = eigendecompose(op, indices)
+    fits = spectral._decay_fits(spec, indices)
+    for index, fit in zip(indices, fits, strict=True):
+        want = _polyfit_decay_fit(spec, index)
+        assert fit.status == want.status and fit.eigenphase == want.eigenphase
+        for got, value in ((fit.rate, want.rate), (fit.r_squared, want.r_squared)):
+            assert (got is None) == (value is None)
+            if value is not None:
+                assert abs(got - value) <= 1e-13 * max(1.0, abs(value))
+        assert eigenvector_decay_fit(spec, index).status == fit.status
+
+
 def test_decay_fit_requires_vectors(lopsided):
     op = build_cylinder_operator(lopsided, sample_phase_field(4, 1, 2), 1, 2)
     spec = eigendecompose(op, want_vectors=False)

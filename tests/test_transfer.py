@@ -169,6 +169,37 @@ def test_cocycle_step_matches_dense_oracle(rng, lopsided):
             assert np.max(np.abs(step - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 8, 16])
+def test_formed_step_matches_the_layer_kernel(rng, lopsided, M):
+    # the formed step, as cocycle_step and as _step_entries over leading
+    # (step, chain) axes the way the Lyapunov engine calls it, against the
+    # three-factor kernel applied to a frame: within a few ulps of ||A|| ||F||
+    two_m, steps, chains = 2 * M, 4, 3
+    for modulus in (1.0, 0.5, 2.0):
+        zs = modulus * np.exp(2j * np.pi * rng.random(chains))
+        layers = [layer_matrices(z, M, lopsided) for z in zs]
+        m1 = np.stack([a for a, _ in layers])
+        m2 = np.stack([b for _, b in layers])
+        slots = np.exp(2j * np.pi * rng.random((steps, chains, 4 * M)))
+        frames = rng.standard_normal((steps, chains, two_m, two_m)) + 1j * rng.standard_normal(
+            (steps, chains, two_m, two_m)
+        )
+        want = transfer._apply_layer(m1, m2, *transfer._split_slots(slots), frames)
+        formed = np.zeros((steps, chains, two_m * two_m), dtype=complex)
+        formed[..., transfer._step_pattern(M)[3]] = transfer._step_entries(
+            m1, m2, *transfer._split_slots(slots)
+        )
+        formed = formed.reshape(steps, chains, two_m, two_m)
+        for s in range(steps):
+            for c in range(chains):
+                a, frame = formed[s, c], frames[s, c]
+                # one formula for the entries: the stacked call is bitwise the single step
+                step = cocycle_step(zs[c], LayerPhases(M, slots[s, c]), lopsided)
+                assert np.array_equal(step.matrix, a)
+                bound = 4 * np.finfo(float).eps * np.linalg.norm(a, 2) * np.linalg.norm(frame, 2)
+                assert np.max(np.abs(a @ frame - want[s, c])) <= bound
+
+
 # ---------------------------------------------------------------------------
 # slotting
 
